@@ -1,7 +1,4 @@
-"""Pure-Python min-cost flow kernel.
-
-Twin of the compiled ``_mincostx`` extension; same entry point, same
-semantics, same (deterministic) output. Keep the two in lockstep.
+"""Min-cost flow kernel, in pure Python; ``setoff.kernel`` is its entry point.
 
 The kernel solves the clearing problem in two phases over one residual graph:
 
@@ -20,7 +17,9 @@ liquidity must discharge at least one unit of debt) and budget remains. Stage
 arcs are frozen before the next stage; obligation residuals are shared.
 
 All quantities are integers. Ties break on node index, and arc order is the
-caller's, so identical inputs give identical outputs.
+caller's, so identical inputs give identical outputs. ``INF`` only marks an
+unreached node; "unlimited" capacities and budgets are sized from the inputs,
+so any amount a Python int holds is exact.
 """
 
 from __future__ import annotations
@@ -57,6 +56,9 @@ def solve(
         (cycle_ob_flow, final_ob_flow, tender_flow, accept_flow, stage_liquidity)
     """
     n_stages = len(t_ptr) - 1
+    # No augmenting path carries more than its first arc: an imbalance in
+    # phase 1, a tender in phase 2. So this never binds as a cap or budget.
+    unlimited = sum(ob_cap) + sum(t_cap)
     src = n
     snk = n + 1
     size = n + 2
@@ -147,7 +149,7 @@ def solve(
         elif excess[v] < 0:
             aux.append(add_arc(v, snk, -excess[v], 0))
     while dijkstra():
-        augment(INF)
+        augment(unlimited)
     for i in aux:
         res[i] = 0
         res[i ^ 1] = 0
@@ -156,7 +158,7 @@ def solve(
 
     # Phase 2: inject liquidity along debt-clearing chains, one currency at a
     # time. A path is worth taking only while its true cost is negative.
-    remaining = INF if budget < 0 else budget
+    remaining = unlimited if budget < 0 else budget
     tender_flow = [0] * len(t_node)
     accept_flow = [0] * len(a_node)
     stage_liquidity = [0] * n_stages
@@ -165,7 +167,7 @@ def solve(
         for j in range(t_ptr[s], t_ptr[s + 1]):
             stage_arcs.append((True, j, add_arc(src, t_node[j], t_cap[j], 0)))
         for j in range(a_ptr[s], a_ptr[s + 1]):
-            cap = a_cap[j] if a_cap[j] >= 0 else INF
+            cap = a_cap[j] if a_cap[j] >= 0 else unlimited
             stage_arcs.append((False, j, add_arc(a_node[j], snk, cap, 0)))
         if n > 0:
             pi[src] = max(pi[v] for v in range(n))

@@ -1,55 +1,23 @@
-"""Backend selection for the min-cost flow kernel.
+"""Entry point of the min-cost flow kernel, ``setoff._mincost``.
 
-The compiled extension (``setoff._mincostx``) is preferred when importable;
-the pure-Python twin (``setoff._mincost``) is the fallback. Set
-``SETOFF_KERNEL=python`` or ``SETOFF_KERNEL=compiled`` to force one.
+``solve_min_cost`` is the one name callers use, so it can be wrapped and timed
+in one place; see ``setoff._mincost.solve`` for the contract.
 """
 
 from __future__ import annotations
 
-import os
 from types import ModuleType
 
-from . import _mincost as _python_impl
+from . import _mincost
 
-_compiled_impl: ModuleType | None
-try:
-    from . import _mincostx as _compiled_impl  # type: ignore[attr-defined]
-except ImportError:
-    _compiled_impl = None
+# These three names stay: perfbench/spans.py wraps solve_min_cost, and
+# perfbench/run.py reports the backend it ran with.
+solve_min_cost = _mincost.solve
 
 
 def available_backends() -> dict[str, ModuleType]:
-    backends: dict[str, ModuleType] = {"python": _python_impl}
-    if _compiled_impl is not None:
-        backends["compiled"] = _compiled_impl
-    return backends
-
-
-def _initial_backend() -> str:
-    forced = os.environ.get("SETOFF_KERNEL", "").strip().lower()
-    if forced:
-        if forced not in available_backends():
-            raise ImportError(f"SETOFF_KERNEL={forced!r} is not available")
-        return forced
-    return "compiled" if _compiled_impl is not None else "python"
-
-
-_active_name = _initial_backend()
-
-
-def set_backend(name: str) -> None:
-    """Select the active kernel by name ('python' or 'compiled')."""
-    global _active_name
-    if name not in available_backends():
-        raise ValueError(f"kernel backend {name!r} is not available")
-    _active_name = name
+    return {"python": _mincost}
 
 
 def get_backend() -> str:
-    return _active_name
-
-
-def solve_min_cost(*args, **kwargs):
-    """Run the active kernel; see setoff._mincost.solve for the contract."""
-    return available_backends()[_active_name].solve(*args, **kwargs)
+    return "python"

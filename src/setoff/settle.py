@@ -44,8 +44,6 @@ class AppliedEpoch:
     new_obligations: tuple[Obligation, ...]
     notices: tuple[SetOffNotice, ...]
     balance_deltas: dict[tuple[AgentId, str], int]
-    ledger_before: Ledger
-    ledger_after: Ledger
 
 
 def _discharged_by_obligation(f: SettlementFlow, g: ObligationGraph) -> dict[str, int]:
@@ -187,7 +185,6 @@ def apply_flow(
             failpoint(label)
 
     work = ledger.copy()
-    before = ledger.copy()
     pool = g.pool
 
     discharged = _discharged_by_obligation(f, g)
@@ -242,6 +239,4 @@ def apply_flow(
         new_obligations=new_obligations,
         notices=notices,
         balance_deltas={k: v for k, v in sorted(deltas.items()) if v},
-        ledger_before=before,
-        ledger_after=ledger.copy(),
     )

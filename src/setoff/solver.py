@@ -38,7 +38,6 @@ class FlowSolution:
     arc_flows: dict[str, int]
     cleared_debt: int
     liquidity_used: dict[str, int]
-    objective: int
 
 
 class _KernelRun(NamedTuple):
@@ -97,7 +96,6 @@ def cancel_cycles(net: FlowNetwork) -> FlowSolution:
         arc_flows=arc_flows,
         cleared_debt=cleared,
         liquidity_used={},
-        objective=cleared,
     )
 
 
@@ -132,7 +130,6 @@ def fund_chains(net: FlowNetwork) -> FlowSolution:
         arc_flows=arc_flows,
         cleared_debt=cleared,
         liquidity_used=liquidity,
-        objective=cleared,
     )
 
 
@@ -274,7 +271,6 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
         arc_flows=arc_flows,
         cleared_debt=cleared,
         liquidity_used=liquidity,
-        objective=cleared,
     )
     return flow, solution
 

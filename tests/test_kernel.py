@@ -1,22 +1,9 @@
-"""Kernel backend parity and selection."""
+"""The min-cost flow kernel: entry point and flow postconditions."""
 
 import random
-import subprocess
-import sys
-from pathlib import Path
 
-import pytest
-
-import setoff
-from setoff import kernel
+from setoff import _mincost, kernel
 from setoff._mincost import solve as python_solve
-
-# A minimal child environment that still imports the setoff under test,
-# whether or not the package is installed.
-CHILD_ENV = {
-    "PYTHONPATH": str(Path(setoff.__file__).resolve().parents[1]),
-    "PATH": "/usr/bin:/bin",
-}
 
 
 def random_instance(seed: int):
@@ -53,25 +40,9 @@ def random_instance(seed: int):
     )
 
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in kernel.available_backends(),
-    reason="compiled kernel not built",
-)
-
-
 def test_python_backend_always_available() -> None:
-    assert "python" in kernel.available_backends()
-
-
-def test_set_backend_round_trip() -> None:
-    before = kernel.get_backend()
-    try:
-        kernel.set_backend("python")
-        assert kernel.get_backend() == "python"
-    finally:
-        kernel.set_backend(before)
-    with pytest.raises(ValueError):
-        kernel.set_backend("quantum")
+    assert kernel.available_backends() == {"python": _mincost}
+    assert kernel.get_backend() == "python"
 
 
 def test_kernel_postconditions_random() -> None:
@@ -98,46 +69,6 @@ def test_kernel_postconditions_random() -> None:
             assert sum(stage_liq) <= budget
 
 
-@needs_compiled
-def test_backend_parity_random() -> None:
-    compiled_solve = kernel.available_backends()["compiled"].solve
-    for seed in range(120):
-        inst = random_instance(seed)
-        assert compiled_solve(*inst) == python_solve(*inst), f"seed {seed}"
-
-
-@needs_compiled
-def test_backend_parity_empty_graph() -> None:
-    compiled_solve = kernel.available_backends()["compiled"].solve
-    empty = (0, [], [], [], [0], [], [], [0], [], [], -1)
-    assert compiled_solve(*empty) == python_solve(*empty) == ([], [], [], [], [])
-
-
 def test_solve_min_cost_dispatches_to_active_backend() -> None:
-    before = kernel.get_backend()
     inst = random_instance(3)
-    try:
-        kernel.set_backend("python")
-        assert kernel.solve_min_cost(*inst) == python_solve(*inst)
-    finally:
-        kernel.set_backend(before)
-
-
-def test_env_forces_python_backend() -> None:
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from setoff import kernel; print(kernel.get_backend())"],
-        env={"SETOFF_KERNEL": "python", **CHILD_ENV},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_env_rejects_unknown_backend() -> None:
-    out = subprocess.run(
-        [sys.executable, "-c", "import setoff.kernel"],
-        env={"SETOFF_KERNEL": "fortran", **CHILD_ENV},
-        capture_output=True, text=True,
-    )
-    assert out.returncode != 0
-    assert "ImportError" in out.stderr
+    assert kernel.solve_min_cost(*inst) == python_solve(*inst)

@@ -283,4 +283,65 @@ def test_solution_accounting_consistent() -> None:
         assert ob_total == sol.cleared_debt
         spent = sum(sol.liquidity_used.values())
         assert spent <= nid // 2
-        assert sol.objective == sol.cleared_debt
+
+
+def test_unlimited_acceptance_and_budget_do_not_bind_above_2_62() -> None:
+    # One obligation above 2^62, funded by a matching tender and drained by
+    # the default source's unlimited acceptance: the whole of it clears.
+    big = (1 << 62) + 5
+    pool = make_pool("A", "B")
+    add_signed(pool, Obligation(id="ob", debtor="A", creditor="B", amount=big, unit=UNIT))
+    add_signed(
+        pool,
+        Tender(id="t:A", sender="A", source=HUB, kind=TenderKind.ASSIGNMENT, max_amount=big),
+    )
+    _, sol = solve_network(build_network(aggregate(pool)))
+    assert sol.cleared_debt == big
+    assert sol.liquidity_used == {UNIT: big}
+
+
+def network_simplex_optimum(g, budget: int | None) -> int:
+    """Maximum dischargeable debt, solved by networkx as one min-cost circulation.
+
+    Obligations cost -1 per unit; tenders (source -> sender), acceptances
+    (origin -> sink) and the sink -> source budget arc cost 0. An arc without
+    a ``capacity`` is unlimited.
+    """
+    import networkx as nx
+
+    def capacity(cap: int | None) -> dict[str, int]:
+        return {} if cap is None else {"capacity": cap}
+
+    source, sink = ("source",), ("sink",)
+    net = nx.MultiDiGraph()
+    net.add_nodes_from([source, sink])
+    for edge in g.edges.values():
+        net.add_edge(edge.debtor, edge.creditor, capacity=edge.amount, weight=-1)
+    for te in g.tender_edges:
+        assert te.kind is TenderKind.ASSIGNMENT and te.price is None
+        net.add_edge(source, te.sender, capacity=te.max_amount, weight=0)
+    for ae in g.acceptance_edges:
+        assert ae.currency == g.unit
+        net.add_edge(ae.origin, sink, weight=0, **capacity(ae.limit))
+    net.add_edge(sink, source, weight=0, **capacity(budget))
+    cost, _ = nx.network_simplex(net)
+    return -cost
+
+
+@pytest.mark.parametrize(
+    ("firms", "obligations", "seed"),
+    [(20, 60, 0), (20, 80, 1), (60, 240, 2), (120, 400, 3), (200, 800, 4)],
+)
+def test_cleared_debt_matches_network_simplex(firms: int, obligations: int, seed: int) -> None:
+    pytest.importorskip("networkx")
+    g = attach_default_liquidity(
+        generate(
+            SyntheticGraphConfig(
+                nodes=firms, edges=obligations, seed=seed, amount_dist="lognormal"
+            )
+        )
+    )
+    nid = compute_nid(g)
+    for budget in (0, nid // 2, nid, None):
+        _, sol = solve_network(build_network(g, budget=budget))
+        assert sol.cleared_debt == network_simplex_optimum(g, budget), f"budget {budget}"
