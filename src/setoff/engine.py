@@ -21,7 +21,9 @@ seed reproduces every file byte for byte.
 ``run`` writes the full outcome to ``applied.json`` first and only then
 mutates ledger and state; a crash at any point either leaves the old state
 intact or leaves a complete commit log that the next ``run`` replays. The
-store has a single writer; concurrent readers see complete snapshots.
+store has a single writer, because an engine reads each store file once and
+then keeps the open pools and the keys in memory; concurrent readers see
+complete snapshots.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ class ClearingEngine:
         if not config_path.exists():
             raise StateError(f"{self.store} is not an initialized store")
         self.config = json.loads(config_path.read_text())
-        self.registry = KeyRegistry()
-        for agent, key_hex in json.loads((self.store / "keys.json").read_text()).items():
-            self.registry.register(agent, bytes.fromhex(key_hex))
+        self._keys: dict[str, str] = json.loads((self.store / "keys.json").read_text())
+        self.registry = KeyRegistry({a: bytes.fromhex(k) for a, k in self._keys.items()})
+        self._pools: dict[int, EpochPool] = {}
         state = json.loads((self.store / "state.json").read_text())
         self.epoch: int = state["epoch"]
         self.phase: str = state["phase"]
@@ -128,10 +130,14 @@ class ClearingEngine:
         """Add (or rotate) an agent's ascertainment key; returns the hex key."""
         if key_hex is None:
             key_hex = secrets.token_hex(32)
-        keys = json.loads((self.store / "keys.json").read_text())
-        keys[agent] = key_hex
+        try:
+            key = bytes.fromhex(key_hex)
+        except ValueError as exc:
+            raise StateError(f"key for {agent} is not hex: {exc}") from exc
+        keys = {**self._keys, agent: key_hex}
         _write_atomic(self.store / "keys.json", canonical_dumps(keys))
-        self.registry.register(agent, bytes.fromhex(key_hex))
+        self._keys = keys
+        self.registry.register(agent, key)
         return key_hex
 
     # --- paths and persistence ----------------------------------------------
@@ -166,6 +172,12 @@ class ClearingEngine:
             pool.add(intent_from_obj(obj), preverified=system)
         return pool
 
+    def _pool(self, epoch: int) -> EpochPool:
+        """The engine's in-memory pool of ``epoch``, read from disk on first use."""
+        if epoch not in self._pools:
+            self._pools[epoch] = self._load_pool(epoch)
+        return self._pools[epoch]
+
     # --- intent intake -------------------------------------------------------
 
     def submit_intent(self, intent: Intent | dict) -> int:
@@ -183,25 +195,23 @@ class ClearingEngine:
                 raise IntentError(f"intent id prefix {prefix!r} is reserved")
         target = self.epoch if self.phase == PHASE_OPEN else self.epoch + 1
         for epoch in (self.epoch, self.epoch + 1):
-            for obj in self._pool_lines(epoch):
-                if obj["id"] == intent.id:
-                    return epoch
+            if self._pool(epoch).get(intent.id) is not None:
+                return epoch
+        pool = self._pool(target)
         quota = self.config.get("quota_per_agent")
         if quota is not None:
             party = bound_party(intent)
             held = sum(
-                1
-                for obj in self._pool_lines(target)
-                if bound_party(intent_from_obj({k: v for k, v in obj.items() if k != "system"}))
-                == party
+                bound_party(i) == party
+                for held_by_kind in (pool.obligations, pool.acceptances, pool.tenders)
+                for i in held_by_kind.values()
             )
             if held >= quota:
                 raise QuotaExceeded(f"{party} already holds {held} intents in epoch {target}")
-        pool = self._load_pool(target)
-        pool.add(intent)  # duplicate or malformed ids fail here
         if not pool.is_ascertained(intent):
             raise IntentError(f"intent {intent.id} is not ascertained")
         self._append_pool_line(target, intent_to_obj(intent))
+        pool.add(intent)  # after the write, so a failed write leaves memory as the disk
         return target
 
     def submit_file(self, path: str | Path) -> dict[str, int]:
@@ -236,6 +246,7 @@ class ClearingEngine:
             return False
         body = "".join(json.dumps(o, separators=(",", ":"), ensure_ascii=True) + "\n" for o in kept)
         _write_atomic(self._pool_path(self.epoch), body)
+        self._pools.pop(self.epoch, None)
         return True
 
     # --- epoch lifecycle -----------------------------------------------------
@@ -272,7 +283,7 @@ class ClearingEngine:
             raise StateError(f"epoch {self.epoch} is open; freeze it before running")
 
         epoch = self.epoch
-        pool = self._load_pool(epoch)
+        pool = self._pool(epoch)
         g = aggregate(pool)
 
         work = self.ledger.copy()
@@ -341,10 +352,11 @@ class ClearingEngine:
             _write_atomic(epoch_dir / "notices.csv", wal["notices_csv"])
             _write_atomic(self.store / "ledger.json", canonical_dumps(wal["ledger"]))
             self.ledger = Ledger.from_obj(wal["ledger"])
-            queued = {obj["id"] for obj in self._pool_lines(epoch + 1)}
+            next_pool = self._pool(epoch + 1)
             for obj in wal["enqueue"]:
-                if obj["id"] not in queued:
+                if next_pool.get(obj["id"]) is None:
                     self._append_pool_line(epoch + 1, obj)
+        self._pools.clear()
         self.epoch = epoch + 1
         self.phase = PHASE_OPEN
         self._epoch_dir(self.epoch).mkdir(parents=True, exist_ok=True)
@@ -356,7 +368,7 @@ class ClearingEngine:
 
     def nid(self) -> dict:
         """NID and total debt of the current epoch's pool as it stands."""
-        g = aggregate(self._load_pool(self.epoch))
+        g = aggregate(self._pool(self.epoch))
         return {
             "epoch": self.epoch,
             "nid": compute_nid(g),

@@ -82,12 +82,9 @@ class EpochPool:
     def asset_of(self, issuer: AgentId) -> str | None:
         return self._issuer_assets.get(issuer)
 
-    def intent_ids(self) -> set[str]:
-        return set(self.obligations) | set(self.acceptances) | set(self.tenders)
-
     def add(self, intent: Intent, preverified: bool = False) -> None:
         """Admit one intent; duplicate ids are an error."""
-        if intent.id in self.intent_ids():
+        if self.get(intent.id) is not None:
             raise GraphBuildError(f"duplicate intent id {intent.id}")
         if isinstance(intent, Obligation):
             self.obligations[intent.id] = intent
@@ -111,6 +108,20 @@ class EpochPool:
         if intent.id in self.preverified:
             return True
         return verify_ascertainment(intent, self.registry, self.scheme)
+
+
+def match_repayments(pool: EpochPool, tender: Tender) -> list[Acceptance]:
+    """Ascertained repayment acceptances that back an overdraft tender."""
+    matches = [
+        a
+        for a in pool.acceptances.values()
+        if a.kind is AcceptanceKind.REPAYMENT
+        and a.origin == tender.source
+        and a.target == tender.sender
+        and pool.is_ascertained(a)
+    ]
+    matches.sort(key=lambda a: (a.repayment_due or _NO_DATE, a.id))
+    return matches
 
 
 @dataclass(frozen=True)
@@ -214,7 +225,6 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
         )
 
     deposit_accepts: list[Acceptance] = []
-    repayment_accepts: list[Acceptance] = []
     for acc in sorted(pool.acceptances.values(), key=lambda a: a.id):
         if not pool.is_ascertained(acc):
             excluded.append((acc.id, "ascertainment failed"))
@@ -232,7 +242,6 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
             deposit_accepts.append(acc)
             nodes.add(acc.origin)
         else:
-            repayment_accepts.append(acc)
             nodes.update((acc.origin, acc.target))
 
     tender_edges: list[TenderEdge] = []
@@ -260,11 +269,7 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
             )
             nodes.add(tender.sender)
         else:
-            matches = [
-                a
-                for a in repayment_accepts
-                if a.origin == tender.source and a.target == tender.sender
-            ]
+            matches = match_repayments(pool, tender)
             if not matches:
                 excluded.append(
                     (tender.id, "overdraft tender has no matching repayment acceptance")
@@ -281,7 +286,6 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
             if issuer is None:
                 excluded.append((tender.id, f"unknown currency {currency}"))
                 continue
-            matches.sort(key=lambda a: (a.repayment_due or _NO_DATE, a.id))
             tender_edges.append(
                 TenderEdge(
                     tender_id=tender.id,

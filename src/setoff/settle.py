@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .errors import SettlementError
-from .graph import ObligationGraph, floor_mul_price
+from .graph import ObligationGraph, floor_mul_price, match_repayments
 from .model import (
     AgentId,
     Ledger,
@@ -25,7 +25,7 @@ from .model import (
     TenderKind,
     sub_amount,
 )
-from .validate import is_valid_flow, match_repayments
+from .validate import is_valid_flow
 
 # New obligations created by overdraft draws use this id prefix; user intents
 # must not.

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DEFAULT_ACCEPT_PREFIX, ObligationGraph, floor_mul_price
+from .graph import DEFAULT_ACCEPT_PREFIX, ObligationGraph, floor_mul_price, match_repayments
 from .model import (
-    Acceptance,
     AcceptanceKind,
     AgentId,
     Ledger,
@@ -29,8 +28,6 @@ from .model import (
     Tender,
     TenderKind,
 )
-
-_NO_DATE = "9999-99-99"
 
 CHECKS = (
     "Ascertainment",
@@ -76,20 +73,6 @@ class _EdgeSpec:
     endpoints: tuple[AgentId, AgentId]  # obligation: (debtor, creditor);
     # tender: (issuer, sender); acceptance: (origin, issuer)
     cap: int | None  # None = unlimited
-
-
-def match_repayments(pool, tender: Tender) -> list[Acceptance]:
-    """Ascertained repayment acceptances that back an overdraft tender."""
-    matches = [
-        a
-        for a in pool.acceptances.values()
-        if a.kind is AcceptanceKind.REPAYMENT
-        and a.origin == tender.source
-        and a.target == tender.sender
-        and pool.is_ascertained(a)
-    ]
-    matches.sort(key=lambda a: (a.repayment_due or _NO_DATE, a.id))
-    return matches
 
 
 def _stage_min_prices(pool) -> dict[str, Fraction]:

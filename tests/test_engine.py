@@ -15,11 +15,13 @@ from setoff import (
     IntentError,
     Obligation,
     QuotaExceeded,
+    SetoffError,
     StateError,
     Tender,
     TenderKind,
     ascertain,
 )
+import setoff.engine as engine_module
 from setoff.cli import main as cli_main
 from setoff.model import intent_to_obj
 from setoff.settle import NEW_OBLIGATION_PREFIX
@@ -362,6 +364,14 @@ def test_crash_after_wal_replays_identically(tmp_path: Path) -> None:
         )
 
 
+def store_bytes(store: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(store).as_posix(): p.read_bytes()
+        for p in sorted(store.rglob("*"))
+        if p.is_file()
+    }
+
+
 def test_two_store_replay_is_byte_identical(tmp_path: Path) -> None:
     outputs = []
     for name in ("left", "right"):
@@ -370,12 +380,158 @@ def test_two_store_replay_is_byte_identical(tmp_path: Path) -> None:
         engine.run(budget=25, seed=42)
         engine.freeze()
         engine.run(budget=0, seed=42)
-        blob = {}
-        for p in sorted((tmp_path / name).rglob("*")):
-            if p.is_file():
-                blob[str(p.relative_to(tmp_path / name))] = p.read_bytes()
-        outputs.append(blob)
+        outputs.append(store_bytes(tmp_path / name))
     assert outputs[0] == outputs[1]
+
+
+# --- in-memory state -------------------------------------------------------------
+
+
+def pool_contents(pool) -> tuple:
+    return pool.obligations, pool.acceptances, pool.tenders, pool.preverified
+
+
+def assert_memory_matches_disk(engine: ClearingEngine) -> None:
+    """The engine's pools and nid equal those a fresh engine reads from disk."""
+    fresh = ClearingEngine(engine.store)
+    assert (fresh.epoch, fresh.phase) == (engine.epoch, engine.phase)
+    for epoch in (engine.epoch, engine.epoch + 1):
+        assert pool_contents(engine._pool(epoch)) == pool_contents(fresh._load_pool(epoch))
+    assert engine.nid() == fresh.nid()
+
+
+def lifecycle_steps():
+    """One store's life: intake, rejections, cancel, a late submit, overdraft, crash.
+
+    ``None`` marks a reopen of the long-lived engine.
+    """
+
+    def submit(intent):
+        return lambda engine: submit_signed(engine, intent)
+
+    steps = [submit(i) for i in cycle_intents() + loan_intents()]
+    steps += [
+        submit(cycle_intents()[0]),  # duplicate
+        lambda engine: engine.submit_intent(  # unascertained
+            Obligation(id="ob:ac", debtor="A", creditor="C", amount=1, unit=UNIT)
+        ),
+        submit(Obligation(id="ob:ba", debtor="B", creditor="A", amount=1, unit=UNIT)),  # quota
+        submit(Obligation(id="ob:gone", debtor="A", creditor="C", amount=4, unit=UNIT)),
+        lambda engine: engine.cancel_intent("ob:gone"),
+        lambda engine: engine.freeze(),
+        submit(Obligation(id="ob:late", debtor="A", creditor="C", amount=5, unit=UNIT)),
+        lambda engine: engine.run(seed=7),
+        submit(cycle_intents()[0]),  # same id, next epoch
+        None,
+        lambda engine: engine.freeze(),
+        lambda engine: engine.run(seed=7, _crash_after_wal=True),
+        lambda engine: engine.run(),  # replays the commit log
+    ]
+    return steps
+
+
+def outcome(step, engine: ClearingEngine):
+    try:
+        return "ok", step(engine)
+    except (SetoffError, RuntimeError) as exc:  # raised outcomes must match too
+        return type(exc).__name__, str(exc)
+
+
+def test_in_memory_engine_matches_fresh_engine(tmp_path: Path) -> None:
+    kwargs = dict(quota_per_agent=2, opening_balances={"B": {UNIT: 10}, "C": {UNIT: 15}})
+    kept = make_engine(tmp_path / "kept", **kwargs)
+    make_engine(tmp_path / "fresh", **kwargs)
+    seen = []
+    for n, step in enumerate(lifecycle_steps()):
+        if step is None:
+            kept = ClearingEngine(kept.store)
+            continue
+        got = outcome(step, kept)
+        want = outcome(step, ClearingEngine(tmp_path / "fresh"))
+        assert got == want, n
+        seen.append(got[0])
+        assert_memory_matches_disk(kept)
+        assert kept.nid() == ClearingEngine(tmp_path / "fresh").nid()
+    assert seen.count("IntentError") == 1 and seen.count("QuotaExceeded") == 1
+    assert seen.count("RuntimeError") == 1
+    assert ClearingEngine(tmp_path / "kept").report(0)["new_obligations"]
+    assert store_bytes(tmp_path / "kept") == store_bytes(tmp_path / "fresh")
+
+
+def test_failed_pool_write_leaves_intent_submittable(tmp_path: Path, monkeypatch) -> None:
+    engine = make_engine(tmp_path / "s")
+    ob = ascertain(
+        Obligation(id="o", debtor="A", creditor="B", amount=5, unit=UNIT), engine.registry
+    )
+
+    def full_disk(epoch: int, obj: dict) -> None:
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(engine, "_append_pool_line", full_disk)
+    with pytest.raises(OSError):
+        engine.submit_intent(ob)
+    monkeypatch.undo()
+    assert engine.submit_intent(ob) == 0
+    assert [obj["id"] for obj in engine._pool_lines(0)] == ["o"]
+    assert engine.nid()["total_debt"] == 5
+
+
+def test_each_pooled_intent_is_parsed_once(tmp_path: Path, monkeypatch) -> None:
+    real = engine_module.intent_from_obj
+    parsed: list[str] = []
+
+    def counting(obj):
+        parsed.append(obj["id"])
+        return real(obj)
+
+    monkeypatch.setattr(engine_module, "intent_from_obj", counting)
+    engine = make_engine(tmp_path / "s")
+    objs = [
+        intent_to_obj(ascertain(
+            Obligation(id=f"o{i}", debtor="A", creditor="B", amount=i + 1, unit=UNIT),
+            engine.registry,
+        ))
+        for i in range(6)
+    ]
+    for obj in objs[:5]:
+        engine.submit_intent(dict(obj))
+    assert len(parsed) == 5
+    parsed.clear()
+    ClearingEngine(tmp_path / "s").submit_intent(dict(objs[5]))
+    assert len(parsed) == 6  # five pooled intents read once, plus the new one
+
+
+def test_register_key_never_rereads_keys_file(tmp_path: Path, monkeypatch) -> None:
+    engine = make_engine(tmp_path / "s")
+    real = Path.read_text
+    reads: list[str] = []
+
+    def counting(self, *args, **kwargs):
+        reads.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    for i in range(5):
+        engine.register_key(f"firm{i}")
+    assert "keys.json" not in reads
+
+
+def test_non_hex_key_is_refused_before_any_write(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    keys_path = tmp_path / "s" / "keys.json"
+    before = keys_path.read_bytes()
+    with pytest.raises(StateError, match="not hex"):
+        engine.register_key("A", "zz")
+    assert keys_path.read_bytes() == before
+    assert ClearingEngine(tmp_path / "s").registry.key_for("A") == key_of("A")
+
+
+def test_key_hex_is_stored_exactly_as_given(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    upper = key_of("dave").hex().upper()
+    assert engine.register_key("dave", upper) == upper
+    assert json.loads((tmp_path / "s" / "keys.json").read_text())["dave"] == upper
+    assert ClearingEngine(tmp_path / "s").registry.key_for("dave") == key_of("dave")
 
 
 # --- CLI -------------------------------------------------------------------------
@@ -487,3 +643,16 @@ def test_cli_module_entry_point(tmp_path: Path) -> None:
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"store": str(store), "unit": UNIT}
+
+
+def test_cli_non_hex_key_leaves_store_usable(tmp_path: Path, capsys) -> None:
+    store = str(tmp_path / "s")
+    run_cli(capsys, "--store", store, "init")
+    keys_path = tmp_path / "s" / "keys.json"
+    before = keys_path.read_bytes()
+    code, _, err = run_cli(capsys, "--store", store, "keygen", "--agent", "A", "--key", "zz")
+    assert code == 1
+    assert json.loads(err)["error"] == "StateError"
+    assert keys_path.read_bytes() == before
+    code, out, _ = run_cli(capsys, "--store", store, "nid")
+    assert code == 0 and json.loads(out)["epoch"] == 0
