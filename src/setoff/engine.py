@@ -67,6 +67,13 @@ def _write_atomic(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _parse_key(agent: str, key_hex: str) -> bytes:
+    try:
+        return bytes.fromhex(key_hex)
+    except (TypeError, ValueError) as exc:
+        raise StateError(f"key for {agent} is not hex: {exc}") from exc
+
+
 class ClearingEngine:
     """One clearing store: submit intents, freeze the epoch, run, report."""
 
@@ -77,7 +84,7 @@ class ClearingEngine:
             raise StateError(f"{self.store} is not an initialized store")
         self.config = json.loads(config_path.read_text())
         self._keys: dict[str, str] = json.loads((self.store / "keys.json").read_text())
-        self.registry = KeyRegistry({a: bytes.fromhex(k) for a, k in self._keys.items()})
+        self.registry = KeyRegistry({a: _parse_key(a, k) for a, k in self._keys.items()})
         self._pools: dict[int, EpochPool] = {}
         state = json.loads((self.store / "state.json").read_text())
         self.epoch: int = state["epoch"]
@@ -130,10 +137,7 @@ class ClearingEngine:
         """Add (or rotate) an agent's ascertainment key; returns the hex key."""
         if key_hex is None:
             key_hex = secrets.token_hex(32)
-        try:
-            key = bytes.fromhex(key_hex)
-        except ValueError as exc:
-            raise StateError(f"key for {agent} is not hex: {exc}") from exc
+        key = _parse_key(agent, key_hex)
         keys = {**self._keys, agent: key_hex}
         _write_atomic(self.store / "keys.json", canonical_dumps(keys))
         self._keys = keys
@@ -201,11 +205,7 @@ class ClearingEngine:
         quota = self.config.get("quota_per_agent")
         if quota is not None:
             party = bound_party(intent)
-            held = sum(
-                bound_party(i) == party
-                for held_by_kind in (pool.obligations, pool.acceptances, pool.tenders)
-                for i in held_by_kind.values()
-            )
+            held = pool.held_by(party)
             if held >= quota:
                 raise QuotaExceeded(f"{party} already holds {held} intents in epoch {target}")
         if not pool.is_ascertained(intent):

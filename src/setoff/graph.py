@@ -26,6 +26,7 @@ from .model import (
     TenderKind,
     add_amounts,
     as_amount,
+    bound_party,
     verify_ascertainment,
 )
 
@@ -42,6 +43,10 @@ class EpochPool:
     ``currencies`` maps asset codes to their issuing liquidity sources. When
     ``default_source`` is set, every non-issuer agent implicitly holds an
     unlimited deposit acceptance of that source in the unit of account.
+
+    The pool counts its intents per bound party, and remembers each intent
+    it has ascertained together with the key that checked it, so each intent
+    is verified once until its party's key changes.
     """
 
     def __init__(
@@ -75,6 +80,8 @@ class EpochPool:
         self.acceptances: dict[str, Acceptance] = {}
         self.tenders: dict[str, Tender] = {}
         self.preverified: set[str] = set()
+        self._held: dict[AgentId, int] = {}
+        self._ascertained: dict[str, tuple[Intent, bytes]] = {}
 
     def issuer_of(self, asset: str) -> AgentId | None:
         return self.currencies.get(asset)
@@ -96,6 +103,12 @@ class EpochPool:
             raise GraphBuildError(f"not an intent: {intent!r}")
         if preverified:
             self.preverified.add(intent.id)
+        party = bound_party(intent)
+        self._held[party] = self._held.get(party, 0) + 1
+
+    def held_by(self, party: AgentId) -> int:
+        """How many pooled intents ``party`` is the bound party of."""
+        return self._held.get(party, 0)
 
     def get(self, intent_id: str) -> Intent | None:
         return (
@@ -105,9 +118,23 @@ class EpochPool:
         )
 
     def is_ascertained(self, intent: Intent) -> bool:
+        """True if preverified or its token checks out under its party's key.
+
+        A success is remembered as (intent, key) by intent id. It answers a
+        later check only for the same intent object under the same key
+        object, so a rotated key or another intent under the same id is
+        verified afresh. Failures are not remembered.
+        """
         if intent.id in self.preverified:
             return True
-        return verify_ascertainment(intent, self.registry, self.scheme)
+        key = self.registry.key_for(bound_party(intent))
+        seen = self._ascertained.get(intent.id)
+        if seen is not None and seen[0] is intent and seen[1] is key:
+            return True
+        if not verify_ascertainment(intent, self.registry, self.scheme):
+            return False
+        self._ascertained[intent.id] = (intent, key)
+        return True
 
 
 def match_repayments(pool: EpochPool, tender: Tender) -> list[Acceptance]:

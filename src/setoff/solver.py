@@ -48,7 +48,9 @@ class _KernelRun(NamedTuple):
     stage_liquidity: list[int]
 
 
-def _run_kernel(net: FlowNetwork, with_stages: bool) -> _KernelRun:
+def _run_kernel(
+    net: FlowNetwork, with_stages: bool, residual: kernel.Residual | None = None
+) -> _KernelRun:
     ob_tail = [a.tail for a in net.ob_arcs]
     ob_head = [a.head for a in net.ob_arcs]
     ob_cap = [a.cap for a in net.ob_arcs]
@@ -71,6 +73,7 @@ def _run_kernel(net: FlowNetwork, with_stages: bool) -> _KernelRun:
         t_ptr, t_node, t_cap,
         a_ptr, a_node, a_cap,
         budget,
+        residual=residual,
     )
     return _KernelRun(*out)
 
@@ -133,9 +136,15 @@ def fund_chains(net: FlowNetwork) -> FlowSolution:
     )
 
 
-def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, FlowSolution]:
-    """Full solve on a prepared network; returns the flow and the solver view."""
-    run = _run_kernel(net, with_stages=True)
+def solve_network(
+    net: FlowNetwork, epoch_id: int = 0, *, residual: kernel.Residual | None = None
+) -> tuple[SettlementFlow, FlowSolution]:
+    """Full solve on a prepared network; returns the flow and the solver view.
+
+    ``residual`` shares kernel phase 1 with other solves over the same
+    obligation arcs (see ``setoff._mincost``); it is filled on first use.
+    """
+    run = _run_kernel(net, with_stages=True, residual=residual)
     g = net.graph
     pool = g.pool
 
@@ -293,11 +302,16 @@ def solve_settleable(
     that turned out to need no assets keep their declared capacity. Each
     round either validates or adds a payer to the clamp set, so the loop
     ends; clamping everyone is the last resort.
+
+    A round changes only tender capacities: nodes, obligation arcs and their
+    seeded order are the same every time. So kernel phase 1 runs once, and
+    every round starts phase 2 from its residual.
     """
     from .validate import is_valid_flow
 
+    residual = kernel.Residual()
     net = build_network(g, budget=budget, seed=seed)
-    flow, solution = solve_network(net, epoch_id=epoch_id)
+    flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
     report = is_valid_flow(g, flow, ledger)
 
     clamped: set[AgentId] = set()
@@ -313,7 +327,7 @@ def solve_settleable(
         net = build_network(
             g, budget=budget, ledger=ledger, seed=seed, clamp_payers=clamped
         )
-        flow, solution = solve_network(net, epoch_id=epoch_id)
+        flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
         report = is_valid_flow(g, flow, ledger)
 
     if report.ok or not any(
@@ -321,7 +335,7 @@ def solve_settleable(
     ):
         return flow, solution
     net = build_network(g, budget=budget, ledger=ledger, seed=seed)
-    return solve_network(net, epoch_id=epoch_id)
+    return solve_network(net, epoch_id=epoch_id, residual=residual)
 
 
 def solve(

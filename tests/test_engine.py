@@ -1,6 +1,7 @@
 """The epoch engine: store lifecycle, determinism, crash recovery, and CLI."""
 
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -175,6 +176,25 @@ def test_quota_per_agent(tmp_path: Path) -> None:
         ))
     # Other parties are unaffected.
     submit_signed(engine, Obligation(id="ob", debtor="B", creditor="A", amount=1, unit=UNIT))
+
+
+def test_quota_holds_after_cancel_and_in_the_next_epoch(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s", quota_per_agent=2)
+
+    def ob(i: int) -> Obligation:
+        return Obligation(id=f"o{i}", debtor="A", creditor="B", amount=1 + i, unit=UNIT)
+
+    submit_signed(engine, ob(0))
+    submit_signed(engine, ob(1))
+    assert engine.cancel_intent("o0")
+    assert submit_signed(engine, ob(2)) == 0  # the reloaded pool counts one
+    with pytest.raises(QuotaExceeded, match="A already holds 2 intents in epoch 0"):
+        submit_signed(engine, ob(3))
+    engine.freeze()
+    assert submit_signed(engine, ob(3)) == 1  # late: the next epoch counts its own
+    assert submit_signed(engine, ob(4)) == 1
+    with pytest.raises(QuotaExceeded, match="A already holds 2 intents in epoch 1"):
+        submit_signed(engine, ob(5))
 
 
 def test_cancel_intent(tmp_path: Path) -> None:
@@ -458,6 +478,24 @@ def test_in_memory_engine_matches_fresh_engine(tmp_path: Path) -> None:
     assert store_bytes(tmp_path / "kept") == store_bytes(tmp_path / "fresh")
 
 
+def test_rotated_key_reaches_pooled_intents(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    for intent in cycle_intents():
+        submit_signed(engine, intent)
+    assert engine.nid() == {"epoch": 0, "nid": 25, "total_debt": 95}
+    engine.register_key("B", key_of("someone else").hex())
+    assert engine.nid() == ClearingEngine(engine.store).nid() == {
+        "epoch": 0, "nid": 45, "total_debt": 65,
+    }
+    engine.freeze()
+    shutil.copytree(engine.store, tmp_path / "copy")
+    report = engine.run(budget=25, seed=7)
+    assert report == ClearingEngine(tmp_path / "copy").run(budget=25, seed=7)
+    assert report["excluded"] == [
+        ["ob1", "ascertainment failed"], ["t:B", "ascertainment failed"],
+    ]
+
+
 def test_failed_pool_write_leaves_intent_submittable(tmp_path: Path, monkeypatch) -> None:
     engine = make_engine(tmp_path / "s")
     ob = ascertain(
@@ -524,6 +562,13 @@ def test_non_hex_key_is_refused_before_any_write(tmp_path: Path) -> None:
         engine.register_key("A", "zz")
     assert keys_path.read_bytes() == before
     assert ClearingEngine(tmp_path / "s").registry.key_for("A") == key_of("A")
+
+
+def test_non_hex_key_in_keys_file_is_a_state_error(tmp_path: Path) -> None:
+    make_engine(tmp_path / "s")
+    (tmp_path / "s" / "keys.json").write_text('{"A":"zz"}')
+    with pytest.raises(StateError, match="key for A is not hex"):
+        ClearingEngine(tmp_path / "s")
 
 
 def test_key_hex_is_stored_exactly_as_given(tmp_path: Path) -> None:
@@ -656,3 +701,13 @@ def test_cli_non_hex_key_leaves_store_usable(tmp_path: Path, capsys) -> None:
     assert keys_path.read_bytes() == before
     code, out, _ = run_cli(capsys, "--store", store, "nid")
     assert code == 0 and json.loads(out)["epoch"] == 0
+
+
+def test_cli_non_hex_keys_file_is_json_on_stderr(tmp_path: Path, capsys) -> None:
+    store = str(tmp_path / "s")
+    run_cli(capsys, "--store", store, "init")
+    (tmp_path / "s" / "keys.json").write_text('{"A":"zz"}')
+    code, out, err = run_cli(capsys, "--store", store, "nid")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError" and "key for A is not hex" in error["detail"]

@@ -1,5 +1,6 @@
 """Pool aggregation, net positions, and lowering to the flow network."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from setoff import (
     compute_nid,
     net_positions,
 )
+import setoff.graph as graph_module
 from setoff.graph import dump_graph, floor_div_price, floor_mul_price
 
 from support import (
@@ -28,7 +30,9 @@ from support import (
     cycle_pool,
     chain_pool,
     funded_ledger,
+    key_of,
     make_pool,
+    p2p_loan_pool,
     registry_for,
     two_currency_pool,
 )
@@ -197,6 +201,56 @@ def test_pool_rejects_non_intent() -> None:
 
     with pytest.raises(GraphBuildError):
         make_pool().add(Imposter())
+
+
+def counting_verify(monkeypatch) -> list[str]:
+    """Record the id of every real ascertainment check the pool makes."""
+    checked: list[str] = []
+    real = graph_module.verify_ascertainment
+
+    def verify(intent, registry, scheme):
+        checked.append(intent.id)
+        return real(intent, registry, scheme)
+
+    monkeypatch.setattr(graph_module, "verify_ascertainment", verify)
+    return checked
+
+
+@pytest.mark.parametrize("make", [lambda: cycle_pool(with_tenders=True), p2p_loan_pool])
+def test_pool_verifies_each_intent_once(make, monkeypatch) -> None:
+    pool = make()
+    checked = counting_verify(monkeypatch)
+    graphs = [aggregate(pool) for _ in range(3)]
+    assert sorted(checked) == sorted([*pool.obligations, *pool.acceptances, *pool.tenders])
+    assert {dump_graph(g) for g in graphs} == {dump_graph(graphs[0])}
+    assert graphs[0].excluded == ()
+
+
+def test_verified_id_does_not_vouch_for_a_tampered_copy(monkeypatch) -> None:
+    pool = cycle_pool()
+    ob = pool.obligations["ob0"]
+    assert pool.is_ascertained(ob)
+    checked = counting_verify(monkeypatch)
+    assert not pool.is_ascertained(replace(ob, amount=ob.amount + 1))
+    assert pool.is_ascertained(ob)
+    assert checked == ["ob0"]  # the tampered copy was checked, the original was remembered
+
+
+def test_rotated_key_is_checked_afresh() -> None:
+    pool = cycle_pool()
+    ob = pool.obligations["ob0"]
+    assert pool.is_ascertained(ob)
+    pool.registry.register("A", key_of("someone else"))
+    assert not pool.is_ascertained(ob)
+    assert exclusion_reasons(aggregate(pool)) == {"ob0": "ascertainment failed"}
+    pool.registry.register("A", key_of("A"))
+    assert pool.is_ascertained(ob)
+
+
+def test_pool_counts_intents_per_bound_party() -> None:
+    pool = p2p_loan_pool()
+    # alice: ob:ab and her draw t:draw; bob: ob:bc; carol: the credit line acc:loan
+    assert [pool.held_by(a) for a in ("alice", "bob", "carol", "dave")] == [2, 1, 1, 0]
 
 
 # --- net positions ---------------------------------------------------------------

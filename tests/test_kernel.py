@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from setoff import _mincost, kernel
 from setoff._mincost import solve as python_solve
 
@@ -72,3 +74,64 @@ def test_kernel_postconditions_random() -> None:
 def test_solve_min_cost_dispatches_to_active_backend() -> None:
     inst = random_instance(3)
     assert kernel.solve_min_cost(*inst) == python_solve(*inst)
+
+
+# --- phase 1 shared between solves -------------------------------------------------
+
+
+def staged_variants(seed: int, n_variants: int = 4):
+    """One random obligation set and several random stage sets and budgets on it."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    arcs = []
+    for _ in range(rng.randint(1, 3 * n)):
+        tail, head = rng.randrange(n), rng.randrange(n)
+        if tail != head:
+            arcs.append((tail, head, rng.randint(1, 40)))
+    obligations = (n, [a[0] for a in arcs], [a[1] for a in arcs], [a[2] for a in arcs])
+    variants = []
+    for _ in range(n_variants):
+        t_ptr, t_node, t_cap = [0], [], []
+        a_ptr, a_node, a_cap = [0], [], []
+        for _ in range(rng.randint(1, 3)):
+            for _ in range(rng.randint(0, 4)):
+                t_node.append(rng.randrange(n))
+                t_cap.append(rng.randint(0, 50))
+            for _ in range(rng.randint(0, 4)):
+                a_node.append(rng.randrange(n))
+                a_cap.append(rng.choice([-1, rng.randint(0, 50)]))
+            t_ptr.append(len(t_node))
+            a_ptr.append(len(a_node))
+        budget = rng.choice([-1, rng.randint(0, 80)])
+        variants.append((t_ptr, t_node, t_cap, a_ptr, a_node, a_cap, budget))
+    return obligations, variants
+
+
+def residual_state(r: _mincost.Residual) -> tuple:
+    """A deep copy of everything the residual holds."""
+    return (
+        r.obligations, r.to.copy(), r.res.copy(), r.cost.copy(),
+        [arcs.copy() for arcs in r.adj], r.pi.copy(), r.ob_arc.copy(), r.cycle_ob_flow.copy(),
+    )
+
+
+def test_shared_residual_matches_fresh_solve() -> None:
+    for seed in range(150):
+        obligations, variants = staged_variants(seed)
+        residual = kernel.Residual()
+        first = None
+        for variant in variants:
+            shared = kernel.solve_min_cost(*obligations, *variant, residual=residual)
+            if first is None:
+                first, filled = shared, residual_state(residual)
+            assert shared == python_solve(*obligations, *variant), seed
+            assert residual_state(residual) == filled, seed  # phase 2 never writes it
+        assert kernel.solve_min_cost(*obligations, *variants[0], residual=residual) == first
+
+
+def test_residual_refuses_other_obligation_arcs() -> None:
+    (n, tail, head, cap), variants = staged_variants(7)
+    residual = kernel.Residual()
+    kernel.solve_min_cost(n, tail, head, cap, *variants[0], residual=residual)
+    with pytest.raises(ValueError, match="other obligation arcs"):
+        kernel.solve_min_cost(n, tail, head, [c + 1 for c in cap], *variants[0], residual=residual)

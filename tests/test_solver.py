@@ -1,5 +1,7 @@
 """Clearing solver: cycle set-off, budgeted chains, and full solves."""
 
+import random
+
 import pytest
 
 from setoff import (
@@ -16,9 +18,10 @@ from setoff import (
     solve,
     solve_settleable,
 )
+from setoff import _mincost, kernel, solver, validate
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.solver import cancel_cycles, fund_chains, solve_network
-from setoff.validate import is_valid_flow
+from setoff.validate import ValidationReport, Violation, is_valid_flow
 
 from support import (
     HUB,
@@ -222,6 +225,77 @@ def test_solve_settleable_clamps_only_overdrawn_payers() -> None:
     assert sol.liquidity_used == {UNIT: 10}
     assert tender_flows(sol) == {"t:draw": 10}
     assert flow.transfers == ()
+
+
+def partly_funded(seed: int):
+    """A lognormal graph whose tender senders each hold a random part of their tender."""
+    g = attach_default_liquidity(
+        generate(SyntheticGraphConfig(nodes=30, edges=90, seed=seed, amount_dist="lognormal"))
+    )
+    rng = random.Random(seed)
+    ledger = funded_ledger(
+        *((te.sender, UNIT, rng.randint(0, te.max_amount)) for te in g.tender_edges)
+    )
+    return g, ledger
+
+
+def counting(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that logs each call's keywords."""
+    calls: list = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def fresh_solves(monkeypatch):
+    """Make every kernel call run phase 1 itself, ignoring a shared residual."""
+    monkeypatch.setattr(kernel, "solve_min_cost", lambda *args, residual: _mincost.solve(*args))
+
+
+def test_solve_settleable_runs_kernel_phase_1_once(monkeypatch) -> None:
+    g, ledger = partly_funded(1)
+    solves = counting(monkeypatch, kernel, "solve_min_cost")
+    phase1 = counting(monkeypatch, _mincost, "_cycles")
+    solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
+    assert len(solves) == 4  # the first round and three clamp rounds
+    assert len(phase1) == 1
+
+
+def test_full_clamp_starts_from_the_same_phase_1(monkeypatch) -> None:
+    # A validator that always finds one payer overdrawn drives the solve
+    # through one clamp round and then the last-resort full clamp.
+    g, ledger = partly_funded(2)
+    payer = g.tender_edges[0].sender
+    overdrawn = ValidationReport(
+        ok=False, violations=(Violation("NonNegativeBalance", (payer,), "overdrawn"),)
+    )
+    monkeypatch.setattr(validate, "is_valid_flow", lambda *args: overdrawn)
+    builds = counting(monkeypatch, solver, "build_network")
+    solves = counting(monkeypatch, kernel, "solve_min_cost")
+    phase1 = counting(monkeypatch, _mincost, "_cycles")
+    shared = solve_settleable(g, None, ledger, seed=2)
+    assert [("ledger" in kw, "clamp_payers" in kw) for kw in builds] == [
+        (False, False), (True, True), (True, False)
+    ]
+    assert len(solves) == 3 and len(phase1) == 1
+    fresh_solves(monkeypatch)
+    assert solve_settleable(g, None, ledger, seed=2) == shared
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_phase_1_settles_as_fresh_solves(seed: int, monkeypatch) -> None:
+    g, ledger = partly_funded(seed)
+    for budget in (None, compute_nid(g) // 2):
+        shared = solve_settleable(g, budget, ledger, seed=seed)
+        with monkeypatch.context() as m:
+            fresh_solves(m)
+            fresh = solve_settleable(g, budget, ledger, seed=seed)
+        assert shared == fresh, budget
 
 
 def test_solve_seed_determinism() -> None:
