@@ -60,7 +60,6 @@ from .graph import (
 from .solver import (
     FlowSolution,
     cancel_cycles,
-    fund_chains,
     solve,
     solve_network,
     solve_settleable,
@@ -135,7 +134,6 @@ __all__ = [
     "emit_notices",
     "flow_from_obj",
     "flow_to_obj",
-    "fund_chains",
     "generate",
     "intent_from_obj",
     "intent_to_obj",

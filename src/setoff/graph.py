@@ -1,8 +1,10 @@
 """Obligation graphs: pooled intents, aggregation, net positions, flow networks.
 
 The pipeline is pool -> aggregate() -> ObligationGraph -> build_network() ->
-FlowNetwork. Aggregation is forgiving (bad intents are excluded and reported);
-network lowering is strict (a tender that cannot be priced is a build error).
+FlowNetwork. Aggregation is forgiving: an intent that cannot enter the graph,
+such as a foreign-currency tender without a price, is excluded and reported.
+``resolve_tender`` and ``resolve_deposit`` are the one admission rule for
+liquidity; validation and settlement re-derive edges through them.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import GraphBuildError, NetworkBuildError
 from .model import (
@@ -35,6 +38,9 @@ _NO_DATE = "9999-99-99"
 
 # Prefix for synthesized infinite acceptances of the default liquidity source.
 DEFAULT_ACCEPT_PREFIX = "accept:default:"
+
+# Exclusion reason for a tender or deposit acceptance in a currency with no issuer.
+_UNKNOWN_CURRENCY = "unknown currency {}"
 
 
 class EpochPool:
@@ -167,7 +173,10 @@ class TenderEdge:
 
     For assignments the liquidity enters from the issuer itself and
     ``facility`` is None; for overdrafts ``facility`` is the lender whose
-    matched repayment acceptances back the draw.
+    matched repayment acceptances back the draw. ``cap`` is the declared
+    unit-of-account cap: ``max_amount`` at the price and, for an overdraft,
+    no more than the matched limits, each floored on its own so settlement
+    can attribute the whole draw across the credit lines.
     """
 
     tender_id: str
@@ -176,10 +185,15 @@ class TenderEdge:
     currency: str
     kind: TenderKind
     max_amount: int
+    cap: int
     price: Fraction | None  # None = asset is the unit of account
     facility: AgentId | None = None
     matched_acceptances: tuple[str, ...] = ()
-    limit_total: int | None = None
+
+    @property
+    def payer(self) -> AgentId:
+        """Whose balance the transfers debit: the sender's or the facility's."""
+        return self.sender if self.facility is None else self.facility
 
 
 @dataclass(frozen=True)
@@ -221,6 +235,67 @@ class NetPosition:
         return self.receivables - self.payables
 
 
+def resolve_tender(pool: EpochPool, tender: Tender) -> TenderEdge | str:
+    """Price and cap one ascertained tender, or say why it cannot be used.
+
+    This is the one admission rule for tenders: ``aggregate`` excludes a
+    tender with the returned reason, and validation and settlement re-derive
+    the same edge from the raw pool.
+    """
+    matches: list[Acceptance] = []
+    facility = None
+    if tender.kind is TenderKind.ASSIGNMENT:
+        currency = pool.asset_of(tender.source)
+        if currency is None:
+            return f"source {tender.source} is not a liquidity source"
+    else:
+        matches = match_repayments(pool, tender)
+        if not matches:
+            return "overdraft tender has no matching repayment acceptance"
+        currencies = {a.currency for a in matches}
+        if len(currencies) > 1:
+            return "matching repayment acceptances disagree on currency"
+        currency = currencies.pop()
+        facility = tender.source
+    issuer = pool.issuer_of(currency)
+    if issuer is None:
+        return _UNKNOWN_CURRENCY.format(currency)
+    price = None if currency == pool.unit else tender.price
+    if currency != pool.unit and price is None:
+        return f"tender has no price for {currency}"
+    cap = floor_mul_price(tender.max_amount, price)
+    if matches:
+        cap = min(cap, sum(floor_mul_price(a.limit or 0, price) for a in matches))
+    return TenderEdge(
+        tender_id=tender.id,
+        sender=tender.sender,
+        issuer=issuer,
+        currency=currency,
+        kind=tender.kind,
+        max_amount=tender.max_amount,
+        cap=cap,
+        price=price,
+        facility=facility,
+        matched_acceptances=tuple(a.id for a in matches),
+    )
+
+
+def resolve_deposit(pool: EpochPool, acc: Acceptance) -> AcceptanceEdge | str:
+    """Route one ascertained deposit acceptance, or say why it cannot be used."""
+    issuer = pool.issuer_of(acc.currency)
+    if issuer is None:
+        return _UNKNOWN_CURRENCY.format(acc.currency)
+    if acc.target != issuer:
+        return f"target {acc.target} does not issue {acc.currency}"
+    return AcceptanceEdge(
+        edge_id=acc.id,
+        origin=acc.origin,
+        issuer=issuer,
+        currency=acc.currency,
+        limit=acc.limit,
+    )
+
+
 def aggregate(pool: EpochPool) -> ObligationGraph:
     """Fold a pool into an obligation graph.
 
@@ -230,10 +305,15 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
     excluded: list[tuple[str, str]] = []
     nodes: set[AgentId] = set()
 
+    def admit(intent: Intent) -> bool:
+        if pool.is_ascertained(intent):
+            return True
+        excluded.append((intent.id, "ascertainment failed"))
+        return False
+
     by_pair: dict[tuple[AgentId, AgentId], list[Obligation]] = {}
     for ob in sorted(pool.obligations.values(), key=lambda o: o.id):
-        if not pool.is_ascertained(ob):
-            excluded.append((ob.id, "ascertainment failed"))
+        if not admit(ob):
             continue
         if ob.unit != pool.unit:
             excluded.append((ob.id, f"unit {ob.unit} is not the epoch unit {pool.unit}"))
@@ -251,94 +331,31 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
             obligations=tuple(o.id for o in obs),
         )
 
-    deposit_accepts: list[Acceptance] = []
+    acceptance_edges: list[AcceptanceEdge] = []
     for acc in sorted(pool.acceptances.values(), key=lambda a: a.id):
-        if not pool.is_ascertained(acc):
-            excluded.append((acc.id, "ascertainment failed"))
+        if not admit(acc):
             continue
-        if acc.kind is AcceptanceKind.DEPOSIT:
-            issuer = pool.issuer_of(acc.currency)
-            if issuer is None:
-                excluded.append((acc.id, f"unknown currency {acc.currency}"))
-                continue
-            if acc.target != issuer:
-                excluded.append(
-                    (acc.id, f"target {acc.target} does not issue {acc.currency}")
-                )
-                continue
-            deposit_accepts.append(acc)
-            nodes.add(acc.origin)
-        else:
+        if acc.kind is AcceptanceKind.REPAYMENT:
             nodes.update((acc.origin, acc.target))
+            continue
+        resolved = resolve_deposit(pool, acc)
+        if isinstance(resolved, str):
+            excluded.append((acc.id, resolved))
+            continue
+        acceptance_edges.append(resolved)
+        nodes.add(acc.origin)
 
     tender_edges: list[TenderEdge] = []
     for tender in sorted(pool.tenders.values(), key=lambda t: t.id):
-        if not pool.is_ascertained(tender):
-            excluded.append((tender.id, "ascertainment failed"))
+        if not admit(tender):
             continue
-        if tender.kind is TenderKind.ASSIGNMENT:
-            currency = pool.asset_of(tender.source)
-            if currency is None:
-                excluded.append(
-                    (tender.id, f"source {tender.source} is not a liquidity source")
-                )
-                continue
-            tender_edges.append(
-                TenderEdge(
-                    tender_id=tender.id,
-                    sender=tender.sender,
-                    issuer=tender.source,
-                    currency=currency,
-                    kind=tender.kind,
-                    max_amount=tender.max_amount,
-                    price=None if currency == pool.unit else tender.price,
-                )
-            )
-            nodes.add(tender.sender)
-        else:
-            matches = match_repayments(pool, tender)
-            if not matches:
-                excluded.append(
-                    (tender.id, "overdraft tender has no matching repayment acceptance")
-                )
-                continue
-            currencies = {a.currency for a in matches}
-            if len(currencies) > 1:
-                excluded.append(
-                    (tender.id, "matching repayment acceptances disagree on currency")
-                )
-                continue
-            currency = currencies.pop()
-            issuer = pool.issuer_of(currency)
-            if issuer is None:
-                excluded.append((tender.id, f"unknown currency {currency}"))
-                continue
-            tender_edges.append(
-                TenderEdge(
-                    tender_id=tender.id,
-                    sender=tender.sender,
-                    issuer=issuer,
-                    currency=currency,
-                    kind=tender.kind,
-                    max_amount=tender.max_amount,
-                    price=None if currency == pool.unit else tender.price,
-                    facility=tender.source,
-                    matched_acceptances=tuple(a.id for a in matches),
-                    limit_total=add_amounts(*(a.limit or 0 for a in matches)),
-                )
-            )
-            nodes.add(tender.sender)
+        resolved = resolve_tender(pool, tender)
+        if isinstance(resolved, str):
+            excluded.append((tender.id, resolved))
+            continue
+        tender_edges.append(resolved)
+        nodes.add(tender.sender)
 
-    acceptance_edges: list[AcceptanceEdge] = [
-        AcceptanceEdge(
-            edge_id=acc.id,
-            origin=acc.origin,
-            issuer=pool.issuer_of(acc.currency) or acc.target,
-            currency=acc.currency,
-            limit=acc.limit,
-        )
-        for acc in deposit_accepts
-    ]
     if pool.default_source is not None:
         issuer_agents = set(pool.currencies.values())
         for agent in sorted(nodes):
@@ -365,7 +382,7 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
         unit=pool.unit,
         nodes=tuple(sorted(nodes)),
         edges=edges,
-        tender_edges=tuple(sorted(tender_edges, key=lambda e: e.tender_id)),
+        tender_edges=tuple(tender_edges),
         acceptance_edges=tuple(sorted(acceptance_edges, key=lambda e: e.edge_id)),
         pool=pool,
         excluded=tuple(excluded),
@@ -454,6 +471,36 @@ def floor_div_price(amount_uoa: int, price: Fraction | None) -> int:
     return int(Fraction(amount_uoa) / price)
 
 
+def stage_min_prices(tender_edges: Iterable[TenderEdge]) -> dict[str, Fraction]:
+    """Lowest tender price per foreign currency.
+
+    Finite foreign-currency limits convert at this price: any mix of tenders
+    at or above it cannot overfill the limit in currency units.
+    """
+    prices: dict[str, Fraction] = {}
+    for te in tender_edges:
+        if te.price is not None and (
+            te.currency not in prices or te.price < prices[te.currency]
+        ):
+            prices[te.currency] = te.price
+    return prices
+
+
+def accept_cap(
+    ae: AcceptanceEdge, unit: str, min_prices: dict[str, Fraction]
+) -> int | None:
+    """A deposit acceptance's unit-of-account cap; None = unlimited.
+
+    A finite foreign limit with no priced tender in its stage takes nothing.
+    """
+    if ae.limit is None:
+        return None
+    if ae.currency == unit:
+        return ae.limit
+    price = min_prices.get(ae.currency)
+    return 0 if price is None else floor_mul_price(ae.limit, price)
+
+
 def build_network(
     g: ObligationGraph,
     budget: int | None = None,
@@ -517,60 +564,35 @@ def build_network(
         return take
 
     for te in g.tender_edges:
-        if te.price is None and te.currency != g.unit:
-            raise NetworkBuildError(
-                f"tender {te.tender_id} needs a price for {te.currency}"
-            )
-        if te.kind is TenderKind.ASSIGNMENT:
-            avail = te.max_amount
-            if (
-                ledger is not None
-                and te.sender != te.issuer
-                and (clamp_payers is None or te.sender in clamp_payers)
-            ):
-                avail = draw_balance(te.sender, te.currency, avail)
-            cap = floor_mul_price(avail, te.price)
-        else:
-            # Per-acceptance floors, not a floor of the sum: settlement must be
-            # able to attribute the whole draw across the matched credit lines.
-            matched_cap = sum(
-                floor_mul_price(g.pool.acceptances[acc_id].limit or 0, te.price)
-                for acc_id in te.matched_acceptances
-            )
-            cap = min(floor_mul_price(te.max_amount, te.price), matched_cap)
-            if (
-                ledger is not None
-                and te.facility != te.issuer
-                and (clamp_payers is None or te.facility in clamp_payers)
-            ):
+        cap = te.cap
+        payer = te.payer
+        if (
+            ledger is not None
+            and payer != te.issuer
+            and (clamp_payers is None or payer in clamp_payers)
+        ):
+            if te.kind is TenderKind.ASSIGNMENT:
+                want = te.max_amount
+            else:
+                # The least currency amount whose converted value covers cap.
                 want = floor_div_price(cap, te.price)
                 if floor_mul_price(want, te.price) < cap:
                     want += 1
-                taken = draw_balance(te.facility, te.currency, want)
-                cap = min(cap, floor_mul_price(taken, te.price))
+            taken = draw_balance(payer, te.currency, want)
+            cap = min(cap, floor_mul_price(taken, te.price))
         by_currency.setdefault(te.currency, ([], []))[0].append(
             TenderArc(node=node_index[te.sender], cap=cap, edge=te)
         )
 
-    # Finite foreign-currency limits convert at the lowest tender price of the
-    # stage: any mix of tenders at or above that price cannot overfill the
-    # limit in currency units.
-    min_price: dict[str, Fraction] = {}
-    for currency, (tender_arcs, _) in by_currency.items():
-        prices = [a.edge.price for a in tender_arcs if a.edge.price is not None]
-        if prices:
-            min_price[currency] = min(prices)
-
+    min_prices = stage_min_prices(g.tender_edges)
     for ae in g.acceptance_edges:
-        slot = by_currency.setdefault(ae.currency, ([], []))
-        if ae.limit is None:
-            cap: int | None = None
-        elif ae.currency == g.unit:
-            cap = ae.limit
-        else:
-            price = min_price.get(ae.currency)
-            cap = 0 if price is None else floor_mul_price(ae.limit, price)
-        slot[1].append(AcceptArc(node=node_index[ae.origin], cap=cap, edge=ae))
+        by_currency.setdefault(ae.currency, ([], []))[1].append(
+            AcceptArc(
+                node=node_index[ae.origin],
+                cap=accept_cap(ae, g.unit, min_prices),
+                edge=ae,
+            )
+        )
 
     stages = []
     for currency in sorted(by_currency):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .errors import SettlementError
-from .graph import ObligationGraph, floor_mul_price, match_repayments
+from .graph import ObligationGraph, TenderEdge, floor_mul_price, resolve_tender
 from .model import (
     AgentId,
     Ledger,
@@ -135,23 +135,22 @@ def _overdraft_obligations(
             drawn[rec.edge_ref] = rec.amount
     out: list[Obligation] = []
     for tender_id in sorted(drawn):
-        tender = pool.tenders[tender_id]
-        matches = match_repayments(pool, tender)
-        currencies = {a.currency for a in matches}
-        price = None if currencies == {pool.unit} else tender.price
+        te = resolve_tender(pool, pool.tenders[tender_id])
+        assert isinstance(te, TenderEdge)  # the flow passed validation
         remaining = drawn[tender_id]
-        for acc in matches:
+        for acc_id in te.matched_acceptances:
             if remaining == 0:
                 break
-            take = min(remaining, floor_mul_price(acc.limit or 0, price))
+            acc = pool.acceptances[acc_id]
+            take = min(remaining, floor_mul_price(acc.limit or 0, te.price))
             if take == 0:
                 continue
             remaining -= take
             out.append(
                 Obligation(
                     id=f"{NEW_OBLIGATION_PREFIX}{f.epoch_id}:{tender_id}:{acc.id}",
-                    debtor=tender.sender,
-                    creditor=tender.source,
+                    debtor=te.sender,
+                    creditor=te.facility,
                     amount=take,
                     unit=pool.unit,
                     due_date=acc.repayment_due,

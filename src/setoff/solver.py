@@ -4,10 +4,9 @@ Obligation arcs cost -1 per unit and everything else costs 0, so a min-cost
 flow is exactly a maximum-discharge settlement, and liquidity is only ever
 injected along paths that clear at least as much debt as they spend.
 
-``cancel_cycles`` computes the pure set-off component (no liquidity),
-``fund_chains`` the budgeted chain increment on top of it, and ``solve`` runs
-both and renders the result as a settlement flow with paired records and
-direct transfers.
+``cancel_cycles`` computes the pure set-off component (no liquidity), and
+``solve`` adds the budgeted chains on top of it and renders the result as a
+settlement flow with paired records and direct transfers.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .graph import (
     build_network,
     floor_div_price,
 )
-from .model import AgentId, Ledger, SettlementFlow, SettlementRecord, TenderKind, Transfer
+from .model import AgentId, Ledger, SettlementFlow, SettlementRecord, Transfer
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,7 @@ class FlowSolution:
 
     ``arc_flows`` is keyed by ``ob:<debtor>><creditor>`` for aggregated
     obligation arcs and by intent/edge id for liquidity arcs; zero flows are
-    omitted. For the ``fund_chains`` increment, obligation entries may be
-    negative (a chain re-routed part of the cycle component).
+    omitted.
     """
 
     arc_flows: dict[str, int]
@@ -99,40 +97,6 @@ def cancel_cycles(net: FlowNetwork) -> FlowSolution:
         arc_flows=arc_flows,
         cleared_debt=cleared,
         liquidity_used={},
-    )
-
-
-def fund_chains(net: FlowNetwork) -> FlowSolution:
-    """Budgeted chain increment on top of the cycle component.
-
-    Liquidity is injected along successively most-negative-cost source->sink
-    paths, one currency stage at a time, until the budget or the profitable
-    paths run out. Obligation deltas may be negative where a chain re-routes
-    set-off flow.
-    """
-    run = _run_kernel(net, with_stages=True)
-    arc_flows: dict[str, int] = {}
-    for a, before, after in zip(net.ob_arcs, run.cycle_ob, run.final_ob):
-        if after != before:
-            arc_flows[_ob_key(a.debtor, a.creditor)] = after - before
-    liquidity: dict[str, int] = {}
-    t_at = a_at = 0
-    for s, stage in enumerate(net.stages):
-        for ta in stage.tender_arcs:
-            if run.tender[t_at]:
-                arc_flows[ta.edge.tender_id] = run.tender[t_at]
-            t_at += 1
-        for aa in stage.accept_arcs:
-            if run.accept[a_at]:
-                arc_flows[aa.edge.edge_id] = run.accept[a_at]
-            a_at += 1
-        if run.stage_liquidity[s]:
-            liquidity[stage.currency] = run.stage_liquidity[s]
-    cleared = sum(run.final_ob) - sum(run.cycle_ob)
-    return FlowSolution(
-        arc_flows=arc_flows,
-        cleared_debt=cleared,
-        liquidity_used=liquidity,
     )
 
 
@@ -206,7 +170,7 @@ def solve_network(
             if t_rem == 0:
                 t_edge, t_rem = tender_used[ti]
                 t_cum = t_cum_converted = 0
-                payer = t_edge.sender if t_edge.kind is TenderKind.ASSIGNMENT else t_edge.facility
+                payer = t_edge.payer
             if a_rem == 0:
                 a_edge, a_rem = accept_used[ai]
             chunk = min(t_rem, a_rem)

@@ -9,9 +9,10 @@ A flow may only be applied if it passes five checks, run in order:
 5. NonNegativeBalance: applying the transfers overdraws nobody but issuers.
 
 The first failing check stops the run, since later checks assume the earlier
-ones hold. Edge capacities are re-derived here from the raw pool intents, not
-read back from the aggregated graph, so a corrupted flow cannot smuggle
-amounts past the caps by targeting aggregation output.
+ones hold. Edge capacities are re-derived here from the raw pool intents,
+through the resolvers aggregation uses, not read back from the aggregated
+graph, so a corrupted flow cannot smuggle amounts past the caps by targeting
+aggregation output.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DEFAULT_ACCEPT_PREFIX, ObligationGraph, floor_mul_price, match_repayments
-from .model import (
-    AcceptanceKind,
-    AgentId,
-    Ledger,
-    SettlementFlow,
-    Tender,
-    TenderKind,
+from .graph import (
+    DEFAULT_ACCEPT_PREFIX,
+    ObligationGraph,
+    accept_cap,
+    resolve_deposit,
+    resolve_tender,
+    stage_min_prices,
 )
+from .model import AcceptanceKind, AgentId, Ledger, SettlementFlow
 
 CHECKS = (
     "Ascertainment",
@@ -76,56 +77,14 @@ class _EdgeSpec:
 
 
 def _stage_min_prices(pool) -> dict[str, Fraction]:
-    # Lowest tender price per foreign currency; finite acceptance limits
-    # convert at this price, mirroring network construction.
-    prices: dict[str, Fraction] = {}
-    for tender in pool.tenders.values():
-        if not pool.is_ascertained(tender) or tender.price is None:
-            continue
-        if tender.kind is TenderKind.ASSIGNMENT:
-            currency = pool.asset_of(tender.source)
-        else:
-            currencies = {a.currency for a in match_repayments(pool, tender)}
-            currency = currencies.pop() if len(currencies) == 1 else None
-        if currency is None or currency == pool.unit:
-            continue
-        best = prices.get(currency)
-        if best is None or tender.price < best:
-            prices[currency] = tender.price
-    return prices
-
-
-def _tender_spec(pool, tender: Tender) -> tuple[_EdgeSpec | None, str | None]:
-    # Capacities here are the declared economic caps only. Whether the payer
-    # can actually fund the resulting transfers is NonNegativeBalance's job:
-    # a draw that exits at its own facility needs no assets at all.
-    if tender.kind is TenderKind.ASSIGNMENT:
-        currency = pool.asset_of(tender.source)
-        if currency is None:
-            return None, f"source {tender.source} is not a liquidity source"
-        issuer = tender.source
-        price = None if currency == pool.unit else tender.price
-        if currency != pool.unit and price is None:
-            return None, f"tender has no price for {currency}"
-        cap = floor_mul_price(tender.max_amount, price)
-        return _EdgeSpec("tender", (issuer, tender.sender), cap), None
-
-    matches = match_repayments(pool, tender)
-    if not matches:
-        return None, "overdraft tender has no matching repayment acceptance"
-    currencies = {a.currency for a in matches}
-    if len(currencies) > 1:
-        return None, "matching repayment acceptances disagree on currency"
-    currency = currencies.pop()
-    issuer = pool.issuer_of(currency)
-    if issuer is None:
-        return None, f"unknown currency {currency}"
-    price = None if currency == pool.unit else tender.price
-    if currency != pool.unit and price is None:
-        return None, f"tender has no price for {currency}"
-    matched_cap = sum(floor_mul_price(a.limit or 0, price) for a in matches)
-    cap = min(floor_mul_price(tender.max_amount, price), matched_cap)
-    return _EdgeSpec("tender", (issuer, tender.sender), cap), None
+    # Lowest prices among the pool's admissible tenders: finite foreign
+    # acceptance limits convert at them, as in network construction.
+    priced = (
+        resolve_tender(pool, t)
+        for t in pool.tenders.values()
+        if t.price is not None and pool.is_ascertained(t)
+    )
+    return stage_min_prices(te for te in priced if not isinstance(te, str))
 
 
 def _resolve_ref(
@@ -143,25 +102,23 @@ def _resolve_ref(
 
     tender = pool.tenders.get(ref)
     if tender is not None:
-        return _tender_spec(pool, tender)
+        te = resolve_tender(pool, tender)
+        if isinstance(te, str):
+            return None, te
+        # The declared economic cap only. Whether the payer can fund the
+        # transfers is NonNegativeBalance's job: a draw that exits at its own
+        # facility needs no assets at all.
+        return _EdgeSpec("tender", (te.issuer, te.sender), te.cap), None
 
     acc = pool.acceptances.get(ref)
     if acc is not None:
         if acc.kind is not AcceptanceKind.DEPOSIT:
             return None, "repayment acceptances carry no settlement flow"
-        issuer = pool.issuer_of(acc.currency)
-        if issuer is None:
-            return None, f"unknown currency {acc.currency}"
-        if acc.target != issuer:
-            return None, f"target {acc.target} does not issue {acc.currency}"
-        if acc.limit is None:
-            cap: int | None = None
-        elif acc.currency == pool.unit:
-            cap = acc.limit
-        else:
-            price = min_prices.get(acc.currency)
-            cap = 0 if price is None else floor_mul_price(acc.limit, price)
-        return _EdgeSpec("acceptance", (acc.origin, issuer), cap), None
+        ae = resolve_deposit(pool, acc)
+        if isinstance(ae, str):
+            return None, ae
+        cap = accept_cap(ae, pool.unit, min_prices)
+        return _EdgeSpec("acceptance", (ae.origin, ae.issuer), cap), None
 
     if ref.startswith(DEFAULT_ACCEPT_PREFIX):
         agent = ref[len(DEFAULT_ACCEPT_PREFIX):]

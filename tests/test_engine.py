@@ -297,6 +297,33 @@ def test_overdraft_creates_next_epoch_obligation(tmp_path: Path) -> None:
     assert engine.ledger.open_obligations[new_id].amount == 10
 
 
+def test_unpriced_foreign_tenders_are_excluded_not_fatal(tmp_path: Path) -> None:
+    engine = make_engine(
+        tmp_path / "s",
+        currencies={"EURX": "ecb"},
+        opening_balances={"B": {UNIT: 10}, "C": {UNIT: 15}},
+    )
+    unpriced = [
+        Tender(id="t:fx", sender="alice", source="ecb",
+               kind=TenderKind.ASSIGNMENT, max_amount=5),
+        Acceptance(id="acc:fx", origin="carol", target="bob",
+                   kind=AcceptanceKind.REPAYMENT, currency="EURX", limit=5),
+        Tender(id="t:fxdraw", sender="bob", source="carol",
+               kind=TenderKind.OVERDRAFT, max_amount=5),
+    ]
+    for intent in cycle_intents() + unpriced:
+        submit_signed(engine, intent)
+    engine.freeze()
+    report = engine.run()
+    assert report["status"] == "applied"
+    assert report["cleared_debt"] == report["total_debt"] == 95
+    assert report["excluded"] == [
+        ["t:fx", "tender has no price for EURX"],
+        ["t:fxdraw", "tender has no price for EURX"],
+    ]
+    assert engine.epoch == 1 and engine.phase == "open"
+
+
 def test_late_intent_clears_next_epoch(tmp_path: Path) -> None:
     engine = funded_cycle_engine(tmp_path / "s")
     engine.freeze()

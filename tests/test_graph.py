@@ -11,7 +11,6 @@ from setoff import (
     AcceptanceKind,
     EpochPool,
     GraphBuildError,
-    NetworkBuildError,
     Obligation,
     Tender,
     TenderKind,
@@ -156,7 +155,7 @@ def test_overdraft_matches_sorted_by_due_date() -> None:
     g = aggregate(pool)
     (te,) = g.tender_edges
     assert te.matched_acceptances == ("acc:early", "acc:late")
-    assert te.limit_total == 6
+    assert te.cap == 6
     assert te.facility == "b"
 
 
@@ -328,13 +327,14 @@ def test_build_network_prices_assignment_caps() -> None:
     assert caps == {"t:usd": 10, "t:atom": 10}  # 5 ATOMX at price 2 = 10 UOA
 
 
-def test_build_network_requires_price_for_foreign_tender() -> None:
+def test_aggregate_excludes_unpriced_foreign_tender() -> None:
     pool = make_pool("a", currencies={"USDX": "bankx"}, default_source=None)
     add_signed(pool, Tender(id="t:oops", sender="a", source="bankx",
                             kind=TenderKind.ASSIGNMENT, max_amount=5))
     g = aggregate(pool)
-    with pytest.raises(NetworkBuildError, match="t:oops"):
-        build_network(g)
+    assert exclusion_reasons(g)["t:oops"] == "tender has no price for USDX"
+    assert g.tender_edges == ()
+    assert build_network(g).stages == ()
 
 
 def test_balance_clamp_shares_one_pot() -> None:

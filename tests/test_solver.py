@@ -20,7 +20,7 @@ from setoff import (
 )
 from setoff import _mincost, kernel, solver, validate
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
-from setoff.solver import cancel_cycles, fund_chains, solve_network
+from setoff.solver import cancel_cycles, solve_network
 from setoff.validate import ValidationReport, Violation, is_valid_flow
 
 from support import (
@@ -77,26 +77,6 @@ def test_cancel_cycles_preserves_net_positions() -> None:
             delta[debtor] = delta.get(debtor, 0) - f
             delta[creditor] = delta.get(creditor, 0) + f
         assert all(v == 0 for v in delta.values()), f"seed {seed}: {delta}"
-
-
-# --- chain component -------------------------------------------------------------
-
-
-def test_fund_chains_clears_chain_with_head_liquidity() -> None:
-    net = build_network(aggregate(chain_pool(2)))
-    sol = fund_chains(net)
-    assert sol.cleared_debt == 40
-    assert sol.liquidity_used == {UNIT: 20}
-    assert sol.arc_flows["t:head"] == 20
-    assert sol.arc_flows["acc:tail"] == 20
-
-
-def test_fund_chains_zero_budget_is_empty() -> None:
-    net = build_network(aggregate(chain_pool(2)), budget=0)
-    sol = fund_chains(net)
-    assert sol.cleared_debt == 0
-    assert sol.arc_flows == {}
-    assert sol.liquidity_used == {}
 
 
 # --- full solve: frozen instances -------------------------------------------------

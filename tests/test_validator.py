@@ -1,13 +1,19 @@
 """The flow-validity predicate: honest flows pass, mutations name a violation."""
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from setoff import (
+    Acceptance,
+    AcceptanceKind,
     Ledger,
     SettlementFlow,
     SettlementRecord,
+    Tender,
+    TenderKind,
     Transfer,
     aggregate,
     build_network,
@@ -19,9 +25,15 @@ from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, g
 from setoff.model import Obligation
 from setoff.settle import emit_notices, verify_notices
 from setoff.solver import solve_network
-from setoff.validate import CHECKS, ValidationReport, Violation
+from setoff.validate import (
+    CHECKS,
+    ValidationReport,
+    Violation,
+    _resolve_ref,
+    _stage_min_prices,
+)
 
-from support import UNIT, add_signed, cycle_pool, funded_ledger, make_pool
+from support import HUB, UNIT, add_signed, cycle_pool, funded_ledger, make_pool
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +303,92 @@ def test_verify_notices_round_trip(cleared_cycle) -> None:
         entries=(replace(entry, discharged=entry.discharged + 1),) + notices[0].entries[1:],
     )
     assert not verify_notices(g, flow, (tampered,) + notices[1:])
+
+
+# --- one admission rule ----------------------------------------------------------
+
+
+def random_liquidity_pool(rng: random.Random):
+    """Obligations plus tenders and acceptances of every resolvable shape.
+
+    Sources, currencies and targets are drawn from valid and invalid choices,
+    prices are often missing, and some repayment acceptances are unsigned, so
+    overdrafts meet missing, disagreeing and foreign backing lines.
+    """
+    firms = ("a", "b", "c", "d")
+    currencies = {UNIT: HUB, "EURX": "ecb", "USDX": "bankx"}
+    pool = make_pool(*firms, currencies=currencies,
+                     default_source=rng.choice((HUB, None)))
+    codes = (*currencies, "NOPE")
+
+    def price():
+        return rng.choice((None, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+
+    def limit():
+        return rng.choice((None, rng.randint(0, 40)))
+
+    for i in range(rng.randint(1, 6)):
+        debtor, creditor = rng.sample(firms, 2)
+        add_signed(pool, Obligation(id=f"ob{i}", debtor=debtor, creditor=creditor,
+                                    amount=rng.randint(1, 50), unit=UNIT))
+    for i in range(rng.randint(0, 4)):
+        add_signed(pool, Acceptance(
+            id=f"dep{i}", origin=rng.choice(firms),
+            target=rng.choice((*currencies.values(), "a")),
+            kind=AcceptanceKind.DEPOSIT, currency=rng.choice(codes), limit=limit()))
+    for i in range(rng.randint(0, 4)):
+        lender, borrower = rng.sample(firms, 2)
+        line = Acceptance(id=f"line{i}", origin=lender, target=borrower,
+                          kind=AcceptanceKind.REPAYMENT, currency=rng.choice(codes),
+                          limit=rng.randint(1, 40))
+        if rng.random() < 0.2:
+            pool.add(line)
+        else:
+            add_signed(pool, line)
+    for i in range(rng.randint(1, 5)):
+        add_signed(pool, Tender(
+            id=f"as{i}", sender=rng.choice(firms),
+            source=rng.choice((*currencies.values(), "nobody")),
+            kind=TenderKind.ASSIGNMENT, max_amount=rng.randint(1, 40), price=price()))
+    for i in range(rng.randint(0, 5)):
+        sender, lender = rng.sample(firms, 2)
+        add_signed(pool, Tender(
+            id=f"od{i}", sender=sender, source=lender,
+            kind=TenderKind.OVERDRAFT, max_amount=rng.randint(1, 40), price=price()))
+    return pool
+
+
+def test_aggregation_network_and_validator_agree_on_every_liquidity_edge() -> None:
+    reasons: set[str] = set()
+    admitted: set[tuple[str, bool]] = set()
+    for seed in range(300):
+        pool = random_liquidity_pool(random.Random(seed))
+        g = aggregate(pool)
+        excluded = dict(g.excluded)
+        net_caps, currency = {}, {}
+        for stage in build_network(g).stages:
+            for arc in stage.tender_arcs:
+                net_caps[arc.edge.tender_id] = arc.cap
+                currency[arc.edge.tender_id] = stage.currency
+            for arc in stage.accept_arcs:
+                net_caps[arc.edge.edge_id] = arc.cap
+                currency[arc.edge.edge_id] = stage.currency
+        min_prices = _stage_min_prices(pool)
+        deposits = [a for a in pool.acceptances.values()
+                    if a.kind is AcceptanceKind.DEPOSIT]
+        for intent in [*pool.tenders.values(), *deposits]:
+            spec, err = _resolve_ref(g, intent.id, min_prices)
+            if intent.id in excluded:
+                assert spec is None and err == excluded[intent.id], (seed, intent.id)
+                reasons.add(err)
+            else:
+                assert spec is not None, (seed, intent.id, err)
+                assert spec.cap == net_caps[intent.id], (seed, intent.id)
+                admitted.add((intent.kind.value, currency[intent.id] == UNIT))
+    for prefix in ("source nobody is not", "overdraft tender has no matching",
+                   "matching repayment acceptances disagree", "unknown currency NOPE",
+                   "target a does not issue", "tender has no price for EURX",
+                   "tender has no price for USDX"):
+        assert any(r.startswith(prefix) for r in reasons), prefix
+    assert admitted == {(kind, unit) for kind in ("assignment", "overdraft", "deposit")
+                        for unit in (True, False)}
