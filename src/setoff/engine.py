@@ -4,7 +4,7 @@ Store layout::
 
     store/
       config.json            unit, currencies, default source, quota
-      keys.json              agent -> hex ascertainment key
+      keys.jsonl             {"agent", "key"} per registration, append only
       state.json             current epoch number and phase (open | frozen)
       ledger.json            balances and open obligations
       epochs/00000/
@@ -17,6 +17,14 @@ Store layout::
 Every output is canonical JSON (sorted keys, compact separators, trailing
 newline) or deterministic CSV, so replaying the same intents with the same
 seed reproduces every file byte for byte.
+
+``keys.jsonl`` and ``pool.jsonl`` are logs: one JSON object per line, only
+ever appended to (a cancel rewrites the pool whole). The last key line of an
+agent wins, so a rotation is one more line. A final line without its newline
+is an append that never returned: readers skip it, and the engine truncates
+it away before its next append to that log. A complete line that does not
+parse is a ``StateError``. A store that keeps its keys in the older
+``keys.json`` is refused.
 
 ``run`` writes the full outcome to ``applied.json`` first and only then
 mutates ledger and state; a crash at any point either leaves the old state
@@ -61,10 +69,43 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
+def _pool_dumps(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True) + "\n"
+
+
 def _write_atomic(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _read_log(path: Path) -> list[dict]:
+    """The complete lines of a JSONL log, parsed; a torn final line is skipped."""
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.pop()  # empty after the last newline, or a torn append
+    objs = []
+    for n, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            objs.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise StateError(f"{path}:{n}: not valid JSON: {exc}") from exc
+    return objs
+
+
+def _append_log(path: Path, line: str) -> None:
+    """Append one newline-terminated line, first truncating a torn tail."""
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(line.encode("utf-8"))
 
 
 def _parse_key(agent: str, key_hex: str) -> bytes:
@@ -83,8 +124,18 @@ class ClearingEngine:
         if not config_path.exists():
             raise StateError(f"{self.store} is not an initialized store")
         self.config = json.loads(config_path.read_text())
-        self._keys: dict[str, str] = json.loads((self.store / "keys.json").read_text())
-        self.registry = KeyRegistry({a: _parse_key(a, k) for a, k in self._keys.items()})
+        keys_path = self.store / "keys.jsonl"
+        if not keys_path.exists():
+            raise StateError(
+                f"{self.store} has no keys.jsonl; stores that keep keys.json are not read"
+            )
+        self.registry = KeyRegistry()
+        for n, obj in enumerate(_read_log(keys_path), start=1):
+            try:
+                agent, key_hex = obj["agent"], obj["key"]
+            except (KeyError, TypeError) as exc:
+                raise StateError(f"{keys_path}:{n}: not a key line") from exc
+            self.registry.register(agent, _parse_key(agent, key_hex))
         self._pools: dict[int, EpochPool] = {}
         state = json.loads((self.store / "state.json").read_text())
         self.epoch: int = state["epoch"]
@@ -125,7 +176,7 @@ class ClearingEngine:
                 }
             ),
         )
-        _write_atomic(store / "keys.json", canonical_dumps({}))
+        _write_atomic(store / "keys.jsonl", "")
         _write_atomic(store / "state.json", canonical_dumps({"epoch": 0, "phase": PHASE_OPEN}))
         ledger = Ledger(balances=opening_balances or {})
         _write_atomic(store / "ledger.json", canonical_dumps(ledger.to_obj()))
@@ -138,9 +189,7 @@ class ClearingEngine:
         if key_hex is None:
             key_hex = secrets.token_hex(32)
         key = _parse_key(agent, key_hex)
-        keys = {**self._keys, agent: key_hex}
-        _write_atomic(self.store / "keys.json", canonical_dumps(keys))
-        self._keys = keys
+        _append_log(self.store / "keys.jsonl", canonical_dumps({"agent": agent, "key": key_hex}))
         self.registry.register(agent, key)
         return key_hex
 
@@ -159,10 +208,7 @@ class ClearingEngine:
         )
 
     def _pool_lines(self, epoch: int) -> list[dict]:
-        path = self._pool_path(epoch)
-        if not path.exists():
-            return []
-        return [json.loads(line) for line in path.read_text().splitlines() if line]
+        return _read_log(self._pool_path(epoch))
 
     def _load_pool(self, epoch: int) -> EpochPool:
         pool = EpochPool(
@@ -233,8 +279,7 @@ class ClearingEngine:
 
     def _append_pool_line(self, epoch: int, obj: dict) -> None:
         self._epoch_dir(epoch).mkdir(parents=True, exist_ok=True)
-        with open(self._pool_path(epoch), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, separators=(",", ":"), ensure_ascii=True) + "\n")
+        _append_log(self._pool_path(epoch), _pool_dumps(obj))
 
     def cancel_intent(self, intent_id: str) -> bool:
         """Withdraw a pooled intent; only allowed while the epoch is open."""
@@ -244,9 +289,10 @@ class ClearingEngine:
         kept = [obj for obj in lines if obj["id"] != intent_id]
         if len(kept) == len(lines):
             return False
-        body = "".join(json.dumps(o, separators=(",", ":"), ensure_ascii=True) + "\n" for o in kept)
-        _write_atomic(self._pool_path(self.epoch), body)
-        self._pools.pop(self.epoch, None)
+        _write_atomic(self._pool_path(self.epoch), "".join(map(_pool_dumps, kept)))
+        pool = self._pools.get(self.epoch)
+        if pool is not None:
+            pool.remove(intent_id)
         return True
 
     # --- epoch lifecycle -----------------------------------------------------
@@ -356,7 +402,8 @@ class ClearingEngine:
             for obj in wal["enqueue"]:
                 if next_pool.get(obj["id"]) is None:
                     self._append_pool_line(epoch + 1, obj)
-        self._pools.clear()
+                    next_pool.add(intent_from_obj(obj), preverified=True)
+        self._pools.pop(epoch, None)
         self.epoch = epoch + 1
         self.phase = PHASE_OPEN
         self._epoch_dir(self.epoch).mkdir(parents=True, exist_ok=True)

@@ -112,6 +112,20 @@ class EpochPool:
         party = bound_party(intent)
         self._held[party] = self._held.get(party, 0) + 1
 
+    def remove(self, intent_id: str) -> None:
+        """Withdraw one pooled intent, with its count and verification marks."""
+        intent = self.get(intent_id)
+        if intent is None:
+            raise GraphBuildError(f"no intent {intent_id} in the pool")
+        for table in (self.obligations, self.acceptances, self.tenders):
+            table.pop(intent_id, None)
+        self.preverified.discard(intent_id)
+        self._ascertained.pop(intent_id, None)
+        party = bound_party(intent)
+        self._held[party] -= 1
+        if not self._held[party]:
+            del self._held[party]
+
     def held_by(self, party: AgentId) -> int:
         """How many pooled intents ``party`` is the bound party of."""
         return self._held.get(party, 0)
@@ -517,7 +531,8 @@ def build_network(
     clamped so the eventual transfers cannot overdraw the payer: assignments
     debit the sender's balance, overdrafts the facility's, and tenders
     debiting the same balance split it in tender-id order rather than each
-    seeing the full amount. Issuers are exempt; they may issue. The clamp is
+    seeing the full amount. Each tender draws the least currency amount whose
+    converted value covers its cap, not its whole ``max_amount``. Issuers are exempt; they may issue. The clamp is
     conservative: a draw that exits at its own facility nets to nothing and
     needs no balance, but that is only known after routing. ``clamp_payers``
     narrows the clamp to the named payers; other tenders keep their declared
@@ -571,13 +586,10 @@ def build_network(
             and payer != te.issuer
             and (clamp_payers is None or payer in clamp_payers)
         ):
-            if te.kind is TenderKind.ASSIGNMENT:
-                want = te.max_amount
-            else:
-                # The least currency amount whose converted value covers cap.
-                want = floor_div_price(cap, te.price)
-                if floor_mul_price(want, te.price) < cap:
-                    want += 1
+            # The least currency amount whose converted value covers cap.
+            want = floor_div_price(cap, te.price)
+            if floor_mul_price(want, te.price) < cap:
+                want += 1
             taken = draw_balance(payer, te.currency, want)
             cap = min(cap, floor_mul_price(taken, te.price))
         by_currency.setdefault(te.currency, ([], []))[0].append(

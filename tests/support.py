@@ -16,6 +16,7 @@ from setoff import (
     TenderKind,
     ascertain,
 )
+import setoff.graph as graph_module
 
 UNIT = "UOA"
 HUB = "hub"
@@ -188,3 +189,16 @@ def funded_ledger(*entries: tuple[str, str, int]) -> Ledger:
     for agent, asset, amount in entries:
         ledger.set_balance(agent, asset, amount)
     return ledger
+
+
+def counting_verify(monkeypatch) -> list[str]:
+    """Record the id of every real ascertainment check a pool makes."""
+    checked: list[str] = []
+    real = graph_module.verify_ascertainment
+
+    def verify(intent, registry, scheme):
+        checked.append(intent.id)
+        return real(intent, registry, scheme)
+
+    monkeypatch.setattr(graph_module, "verify_ascertainment", verify)
+    return checked

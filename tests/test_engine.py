@@ -27,7 +27,7 @@ from setoff.cli import main as cli_main
 from setoff.model import intent_to_obj
 from setoff.settle import NEW_OBLIGATION_PREFIX
 
-from support import HUB, UNIT, key_of
+from support import HUB, UNIT, counting_verify, key_of
 
 AGENTS = ("A", "B", "C", "alice", "bob", "carol", HUB)
 
@@ -78,7 +78,7 @@ def funded_cycle_engine(path: Path) -> ClearingEngine:
 
 def test_init_creates_store_layout(tmp_path: Path) -> None:
     engine = make_engine(tmp_path / "s")
-    for name in ("config.json", "keys.json", "state.json", "ledger.json"):
+    for name in ("config.json", "keys.jsonl", "state.json", "ledger.json"):
         assert (tmp_path / "s" / name).exists()
     assert (tmp_path / "s" / "epochs" / "00000").is_dir()
     assert engine.epoch == 0 and engine.phase == "open"
@@ -566,6 +566,34 @@ def test_each_pooled_intent_is_parsed_once(tmp_path: Path, monkeypatch) -> None:
     assert len(parsed) == 6  # five pooled intents read once, plus the new one
 
 
+def test_cancel_and_commit_keep_each_intent_verified_once(
+    tmp_path: Path, monkeypatch
+) -> None:
+    engine = make_engine(tmp_path / "s")
+    obs = [
+        ascertain(Obligation(id=f"o{i}", debtor="A", creditor="B", amount=1, unit=UNIT),
+                  engine.registry)
+        for i in range(250)
+    ]
+    checked = counting_verify(monkeypatch)
+    for ob in obs[:200]:
+        engine.submit_intent(ob)
+    engine.nid()
+    assert len(checked) == 200
+    assert engine.cancel_intent("o7")
+    assert engine.nid()["total_debt"] == 199
+    assert len(checked) == 200
+    engine.freeze()
+    for ob in obs[200:]:
+        assert engine.submit_intent(ob) == 1
+    assert len(checked) == 250
+    assert engine.run()["status"] == "applied"
+    assert engine.nid() == {"epoch": 1, "nid": 50, "total_debt": 50}
+    assert len(checked) == 250
+    monkeypatch.undo()
+    assert_memory_matches_disk(engine)
+
+
 def test_register_key_never_rereads_keys_file(tmp_path: Path, monkeypatch) -> None:
     engine = make_engine(tmp_path / "s")
     real = Path.read_text
@@ -578,12 +606,12 @@ def test_register_key_never_rereads_keys_file(tmp_path: Path, monkeypatch) -> No
     monkeypatch.setattr(Path, "read_text", counting)
     for i in range(5):
         engine.register_key(f"firm{i}")
-    assert "keys.json" not in reads
+    assert "keys.jsonl" not in reads
 
 
 def test_non_hex_key_is_refused_before_any_write(tmp_path: Path) -> None:
     engine = make_engine(tmp_path / "s")
-    keys_path = tmp_path / "s" / "keys.json"
+    keys_path = tmp_path / "s" / "keys.jsonl"
     before = keys_path.read_bytes()
     with pytest.raises(StateError, match="not hex"):
         engine.register_key("A", "zz")
@@ -593,7 +621,8 @@ def test_non_hex_key_is_refused_before_any_write(tmp_path: Path) -> None:
 
 def test_non_hex_key_in_keys_file_is_a_state_error(tmp_path: Path) -> None:
     make_engine(tmp_path / "s")
-    (tmp_path / "s" / "keys.json").write_text('{"A":"zz"}')
+    with open(tmp_path / "s" / "keys.jsonl", "a") as fh:
+        fh.write('{"agent":"A","key":"zz"}\n')
     with pytest.raises(StateError, match="key for A is not hex"):
         ClearingEngine(tmp_path / "s")
 
@@ -602,8 +631,88 @@ def test_key_hex_is_stored_exactly_as_given(tmp_path: Path) -> None:
     engine = make_engine(tmp_path / "s")
     upper = key_of("dave").hex().upper()
     assert engine.register_key("dave", upper) == upper
-    assert json.loads((tmp_path / "s" / "keys.json").read_text())["dave"] == upper
+    last = (tmp_path / "s" / "keys.jsonl").read_text().splitlines()[-1]
+    assert json.loads(last) == {"agent": "dave", "key": upper}
     assert ClearingEngine(tmp_path / "s").registry.key_for("dave") == key_of("dave")
+
+
+def test_rotated_key_last_line_wins_across_reopen(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    engine.register_key("A", key_of("someone else").hex())
+    engine.register_key("B", key_of("B").hex())
+    assert ClearingEngine(tmp_path / "s").registry.key_for("A") == key_of("someone else")
+    engine.register_key("A", key_of("A").hex())
+    again = ClearingEngine(tmp_path / "s")
+    assert again.registry.key_for("A") == key_of("A")
+    assert again.registry.key_for("B") == key_of("B")
+    lines = (tmp_path / "s" / "keys.jsonl").read_text().splitlines()
+    assert len(lines) == len(AGENTS) + 3
+
+
+def test_store_with_keys_json_is_refused(tmp_path: Path) -> None:
+    make_engine(tmp_path / "s")
+    (tmp_path / "s" / "keys.jsonl").unlink()
+    (tmp_path / "s" / "keys.json").write_text("{}\n")
+    with pytest.raises(StateError, match="keys.json are not read"):
+        ClearingEngine(tmp_path / "s")
+
+
+def test_registering_keys_appends_one_line_each_and_renames_nothing(
+    tmp_path: Path, monkeypatch
+) -> None:
+    engine = ClearingEngine.init(tmp_path / "s", unit=UNIT)
+    replaced: list[str] = []
+    real = engine_module.os.replace
+
+    def counting(src, dst):
+        replaced.append(str(dst))
+        return real(src, dst)
+
+    monkeypatch.setattr(engine_module.os, "replace", counting)
+    for i in range(200):
+        engine.register_key(f"firm{i}", key_of(f"firm{i}").hex())
+    assert replaced == []
+    lines = (tmp_path / "s" / "keys.jsonl").read_text().splitlines()
+    assert len(lines) == 200
+    assert json.loads(lines[7]) == {"agent": "firm7", "key": key_of("firm7").hex()}
+
+
+def test_torn_pool_tail_is_skipped_then_truncated(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    pool_path = tmp_path / "s" / "epochs" / "00000" / "pool.jsonl"
+    with open(pool_path, "a") as fh:
+        fh.write('{"id":"o2","ki')  # an append whose call never returned
+    reopened = ClearingEngine(tmp_path / "s")
+    assert reopened.nid() == {"epoch": 0, "nid": 20, "total_debt": 20}
+    assert submit_signed(reopened, cycle_intents()[1]) == 0
+    objs = [json.loads(line) for line in pool_path.read_text().splitlines()]
+    assert [obj["id"] for obj in objs] == ["ob0", "ob1"]
+    assert ClearingEngine(tmp_path / "s").nid()["total_debt"] == 50
+
+
+def test_torn_keys_tail_is_skipped_then_truncated(tmp_path: Path) -> None:
+    make_engine(tmp_path / "s")
+    keys_path = tmp_path / "s" / "keys.jsonl"
+    with open(keys_path, "a") as fh:
+        fh.write('{"agent":"Z","ke')
+    reopened = ClearingEngine(tmp_path / "s")
+    assert reopened.registry.key_for("Z") is None
+    reopened.register_key("dave", key_of("dave").hex())
+    objs = [json.loads(line) for line in keys_path.read_text().splitlines()]
+    assert [obj["agent"] for obj in objs] == [*AGENTS, "dave"]
+    assert ClearingEngine(tmp_path / "s").registry.key_for("dave") == key_of("dave")
+
+
+@pytest.mark.parametrize("log", ["keys.jsonl", "epochs/00000/pool.jsonl"])
+def test_complete_bad_log_line_names_file_and_line(tmp_path: Path, log: str) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    path = tmp_path / "s" / log
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+    with pytest.raises(StateError, match=f"{log}:2: not valid JSON"):
+        ClearingEngine(tmp_path / "s").nid()
 
 
 # --- CLI -------------------------------------------------------------------------
@@ -720,7 +829,7 @@ def test_cli_module_entry_point(tmp_path: Path) -> None:
 def test_cli_non_hex_key_leaves_store_usable(tmp_path: Path, capsys) -> None:
     store = str(tmp_path / "s")
     run_cli(capsys, "--store", store, "init")
-    keys_path = tmp_path / "s" / "keys.json"
+    keys_path = tmp_path / "s" / "keys.jsonl"
     before = keys_path.read_bytes()
     code, _, err = run_cli(capsys, "--store", store, "keygen", "--agent", "A", "--key", "zz")
     assert code == 1
@@ -733,7 +842,7 @@ def test_cli_non_hex_key_leaves_store_usable(tmp_path: Path, capsys) -> None:
 def test_cli_non_hex_keys_file_is_json_on_stderr(tmp_path: Path, capsys) -> None:
     store = str(tmp_path / "s")
     run_cli(capsys, "--store", store, "init")
-    (tmp_path / "s" / "keys.json").write_text('{"A":"zz"}')
+    (tmp_path / "s" / "keys.jsonl").write_text('{"agent":"A","key":"zz"}\n')
     code, out, err = run_cli(capsys, "--store", store, "nid")
     assert (code, out) == (1, "")
     error = json.loads(err)

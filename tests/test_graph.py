@@ -19,7 +19,6 @@ from setoff import (
     compute_nid,
     net_positions,
 )
-import setoff.graph as graph_module
 from setoff.graph import dump_graph, floor_div_price, floor_mul_price
 
 from support import (
@@ -28,6 +27,7 @@ from support import (
     add_signed,
     cycle_pool,
     chain_pool,
+    counting_verify,
     funded_ledger,
     key_of,
     make_pool,
@@ -202,19 +202,6 @@ def test_pool_rejects_non_intent() -> None:
         make_pool().add(Imposter())
 
 
-def counting_verify(monkeypatch) -> list[str]:
-    """Record the id of every real ascertainment check the pool makes."""
-    checked: list[str] = []
-    real = graph_module.verify_ascertainment
-
-    def verify(intent, registry, scheme):
-        checked.append(intent.id)
-        return real(intent, registry, scheme)
-
-    monkeypatch.setattr(graph_module, "verify_ascertainment", verify)
-    return checked
-
-
 @pytest.mark.parametrize("make", [lambda: cycle_pool(with_tenders=True), p2p_loan_pool])
 def test_pool_verifies_each_intent_once(make, monkeypatch) -> None:
     pool = make()
@@ -250,6 +237,23 @@ def test_pool_counts_intents_per_bound_party() -> None:
     pool = p2p_loan_pool()
     # alice: ob:ab and her draw t:draw; bob: ob:bc; carol: the credit line acc:loan
     assert [pool.held_by(a) for a in ("alice", "bob", "carol", "dave")] == [2, 1, 1, 0]
+
+
+def test_pool_remove_keeps_counts_and_marks_in_step() -> None:
+    pool = p2p_loan_pool()
+    draw = pool.tenders["t:draw"]
+    assert pool.is_ascertained(draw)
+    pool.preverified.add("t:draw")
+    pool.remove("t:draw")
+    assert pool.get("t:draw") is None and "t:draw" not in pool.tenders
+    assert "t:draw" not in pool.preverified and "t:draw" not in pool._ascertained
+    assert [pool.held_by(a) for a in ("alice", "bob", "carol")] == [1, 1, 1]
+    pool.remove("ob:bc")
+    assert "bob" not in pool._held
+    pool.add(draw)  # the id is free again, and is verified afresh
+    assert pool.held_by("alice") == 2 and "t:draw" not in pool.preverified
+    with pytest.raises(GraphBuildError, match="no intent ob:bc"):
+        pool.remove("ob:bc")
 
 
 # --- net positions ---------------------------------------------------------------
@@ -378,6 +382,19 @@ def test_overdraft_cap_uses_per_acceptance_floors() -> None:
     # floor(3/2) + floor(3/2) = 2, not floor(6/2) = 3: each credit line can
     # only be attributed whole units.
     assert stage.tender_arcs[0].cap == 2
+
+
+def test_assignment_clamp_draws_only_the_covering_amount() -> None:
+    pool = make_pool("a", currencies={UNIT: HUB, "EURX": "bankx"})
+    for tid in ("t1", "t2"):
+        add_signed(pool, Tender(id=tid, sender="a", source="bankx",
+                                kind=TenderKind.ASSIGNMENT, max_amount=5,
+                                price=Fraction(1, 2)))
+    g = aggregate(pool)
+    net = build_network(g, ledger=funded_ledger(("a", "EURX", 8)))
+    stage = next(s for s in net.stages if s.currency == "EURX")
+    # Each cap is floor(5 * 1/2) = 2 UOA, which 4 EURX covers; 8 EURX fund both.
+    assert {a.edge.tender_id: a.cap for a in stage.tender_arcs} == {"t1": 2, "t2": 2}
 
 
 def test_overdraft_facility_clamp_rounds_want_up() -> None:
