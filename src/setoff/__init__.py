@@ -5,8 +5,7 @@ The core pipeline:
     pool = EpochPool(...); pool.add(intent); ...
     g = aggregate(pool)
     flow = solve(g, budget=..., ledger=ledger)
-    assert is_valid_flow(g, flow, ledger)
-    applied = apply_flow(ledger, flow, g)
+    applied = apply_flow(ledger, flow, g)  # validates; raises InvalidFlow
 
 `ClearingEngine` wraps the pipeline in a persistent, crash-safe epoch state
 machine; `experiments` generates synthetic graphs and liquidity multiplier
@@ -17,6 +16,7 @@ from .errors import (
     AmountError,
     GraphBuildError,
     IntentError,
+    InvalidFlow,
     NetworkBuildError,
     OracleBoundError,
     QuotaExceeded,
@@ -98,6 +98,7 @@ __all__ = [
     "FlowSolution",
     "GraphBuildError",
     "IntentError",
+    "InvalidFlow",
     "KeyRegistry",
     "Ledger",
     "MultiplierPoint",

@@ -109,11 +109,16 @@ def _run(args: argparse.Namespace) -> dict | None:
         return {"store": str(args.store), "unit": args.unit}
 
     if args.command == "simulate":
+        try:
+            fractions = [float(x) for x in str(args.fractions).split(",") if x != ""]
+        except ValueError as exc:
+            raise StateError(f"--fractions expects numbers, got {args.fractions!r}") from exc
         obj = json.loads(args.config.read_text())
+        if not isinstance(obj, dict):
+            raise StateError(f"{args.config}: the config must be a JSON object")
         placement = obj.pop("placement", "net_debtors")
         config = SyntheticGraphConfig.from_obj(obj)
         g = attach_default_liquidity(generate(config), placement=placement)
-        fractions = [float(x) for x in str(args.fractions).split(",") if x != ""]
         points = multiplier_curve(g, fractions)
         args.out.write_text(curve_to_csv(points))
         return {

@@ -23,8 +23,8 @@ ever appended to (a cancel rewrites the pool whole). The last key line of an
 agent wins, so a rotation is one more line. A final line without its newline
 is an append that never returned: readers skip it, and the engine truncates
 it away before its next append to that log. A complete line that does not
-parse is a ``StateError``. A store that keeps its keys in the older
-``keys.json`` is refused.
+parse as a JSON object is a ``StateError``. A store that keeps its keys in
+the older ``keys.json`` is refused.
 
 ``run`` writes the full outcome to ``applied.json`` first and only then
 mutates ledger and state; a crash at any point either leaves the old state
@@ -42,7 +42,7 @@ import secrets
 from pathlib import Path
 from typing import Callable
 
-from .errors import IntentError, QuotaExceeded, SetoffError, StateError
+from .errors import IntentError, InvalidFlow, QuotaExceeded, SetoffError, StateError
 from .graph import DEFAULT_ACCEPT_PREFIX, EpochPool, aggregate, compute_nid
 from .model import (
     Intent,
@@ -57,6 +57,7 @@ from .model import (
 )
 from .settle import NEW_OBLIGATION_PREFIX, apply_flow, notices_to_csv
 from .solver import solve_settleable
+# This name stays: perfbench/spans.py wraps is_valid_flow where engine binds it.
 from .validate import is_valid_flow
 
 RESERVED_PREFIXES = (DEFAULT_ACCEPT_PREFIX, NEW_OBLIGATION_PREFIX)
@@ -80,7 +81,7 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def _read_log(path: Path) -> list[dict]:
-    """The complete lines of a JSONL log, parsed; a torn final line is skipped."""
+    """The complete lines of a JSONL log as objects; a torn final line is skipped."""
     if not path.exists():
         return []
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -90,9 +91,12 @@ def _read_log(path: Path) -> list[dict]:
         if not line:
             continue
         try:
-            objs.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise StateError(f"{path}:{n}: not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise StateError(f"{path}:{n}: not a JSON object")
+        objs.append(obj)
     return objs
 
 
@@ -133,7 +137,7 @@ class ClearingEngine:
         for n, obj in enumerate(_read_log(keys_path), start=1):
             try:
                 agent, key_hex = obj["agent"], obj["key"]
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise StateError(f"{keys_path}:{n}: not a key line") from exc
             self.registry.register(agent, _parse_key(agent, key_hex))
         self._pools: dict[int, EpochPool] = {}
@@ -236,8 +240,8 @@ class ClearingEngine:
         Intents submitted while the epoch is frozen go to the next epoch.
         A resubmitted id is accepted idempotently without changing the pool.
         """
-        if isinstance(intent, dict):
-            if "system" in intent:
+        if not isinstance(intent, Intent):
+            if isinstance(intent, dict) and "system" in intent:
                 raise IntentError("the system marker is reserved")
             intent = intent_from_obj(intent)
         for prefix in RESERVED_PREFIXES:
@@ -350,20 +354,15 @@ class ClearingEngine:
             "nid": compute_nid(g),
             "excluded": [list(item) for item in g.excluded],
         }
-        check = is_valid_flow(g, flow, work)
-        if not check.ok:
+        wal = {"epoch": epoch, "flow": flow_to_obj(flow), "report": report}
+        try:
+            applied = apply_flow(work, flow, g, failpoint=_failpoint)
+        except InvalidFlow as exc:
             report.update(
                 status="failed",
-                violations=[[v.check, list(v.ids), v.detail] for v in check.violations],
+                violations=[[v.check, list(v.ids), v.detail] for v in exc.report.violations],
             )
-            wal = {
-                "epoch": epoch,
-                "status": "failed",
-                "flow": flow_to_obj(flow),
-                "report": report,
-            }
         else:
-            applied = apply_flow(work, flow, g, failpoint=_failpoint)
             report.update(
                 status="applied",
                 cleared_debt=applied.cleared_debt,
@@ -372,17 +371,12 @@ class ClearingEngine:
                 discharged=applied.discharged,
                 new_obligations=[ob.id for ob in applied.new_obligations],
             )
-            wal = {
-                "epoch": epoch,
-                "status": "applied",
-                "flow": flow_to_obj(flow),
-                "report": report,
-                "ledger": work.to_obj(),
-                "notices_csv": notices_to_csv(applied.notices),
-                "enqueue": [
-                    dict(intent_to_obj(ob), system=True) for ob in applied.new_obligations
-                ],
-            }
+            wal.update(
+                ledger=work.to_obj(),
+                notices_csv=notices_to_csv(applied.notices),
+                enqueue=[dict(intent_to_obj(ob), system=True) for ob in applied.new_obligations],
+            )
+        wal["status"] = report["status"]
         _write_atomic(wal_path, canonical_dumps(wal))
         if _crash_after_wal:
             raise RuntimeError("crash requested after commit log write")

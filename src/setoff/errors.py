@@ -25,6 +25,14 @@ class SettlementError(SetoffError):
     """A settlement flow was refused; the ledger is untouched."""
 
 
+class InvalidFlow(SettlementError):
+    """A settlement flow failed validation; ``report`` lists the violations."""
+
+    def __init__(self, report) -> None:
+        super().__init__("flow failed validation: " + "; ".join(map(str, report.violations)))
+        self.report = report
+
+
 class StateError(SetoffError):
     """An epoch operation was attempted in the wrong lifecycle state."""
 

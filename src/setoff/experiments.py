@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import random
 from dataclasses import dataclass
 
-from .errors import GraphBuildError, OracleBoundError
+from .errors import AmountError, GraphBuildError, OracleBoundError
 from .graph import EpochPool, ObligationGraph, aggregate, build_network, net_positions
 from .model import KeyRegistry, Obligation, Tender, TenderKind, ascertain
 from .solver import solve_network
@@ -194,6 +195,8 @@ def multiplier_curve(
         payables[debtor] = payables.get(debtor, 0) + edge.amount
     points = []
     for fraction in fractions:
+        if not math.isfinite(fraction):
+            raise AmountError(f"fraction must be finite and non-negative, got {fraction}")
         budget = int(fraction * total)
         cleared, by_debtor = _solve_point(g, budget)
         if payables:

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .errors import SettlementError
+from .errors import InvalidFlow, SettlementError
 from .graph import ObligationGraph, TenderEdge, floor_mul_price, resolve_tender
 from .model import (
     AgentId,
@@ -171,13 +171,13 @@ def apply_flow(
 ) -> AppliedEpoch:
     """Validate and settle a flow against the ledger, atomically.
 
-    Raises SettlementError (ledger untouched) if validation fails or the
-    flow is inconsistent with the ledger's open obligations.
+    Raises InvalidFlow (ledger untouched) if any of the five checks fails,
+    and SettlementError if the flow is inconsistent with the ledger's open
+    obligations.
     """
     report = is_valid_flow(g, f, ledger)
     if not report.ok:
-        lines = "; ".join(str(v) for v in report.violations)
-        raise SettlementError(f"flow failed validation: {lines}")
+        raise InvalidFlow(report)
 
     def hit(label: str) -> None:
         if failpoint is not None:
@@ -214,9 +214,6 @@ def apply_flow(
         work.adjust_balance(tr.payee, tr.asset, tr.amount)
         deltas[(tr.payer, tr.asset)] = deltas.get((tr.payer, tr.asset), 0) - tr.amount
         deltas[(tr.payee, tr.asset)] = deltas.get((tr.payee, tr.asset), 0) + tr.amount
-    for (agent, asset) in sorted(deltas):
-        if work.balance(agent, asset) < 0 and pool.issuer_of(asset) != agent:
-            raise SettlementError(f"settlement overdraws {agent} in {asset}")
 
     new_obligations = _overdraft_obligations(f, g)
     for ob in new_obligations:

@@ -22,6 +22,7 @@ from .graph import (
     floor_div_price,
 )
 from .model import AgentId, Ledger, SettlementFlow, SettlementRecord, Transfer
+from .validate import balance_violations
 
 
 @dataclass(frozen=True)
@@ -264,40 +265,31 @@ def solve_settleable(
     all). If that flow would overdraw someone, only the overdrawn payers'
     tenders are clamped to their balances and the solve repeats; tenders
     that turned out to need no assets keep their declared capacity. Each
-    round either validates or adds a payer to the clamp set, so the loop
-    ends; clamping everyone is the last resort.
+    round either overdraws nobody or adds a payer to the clamp set, so the
+    loop ends; clamping everyone is the last resort. Rounds ask only the
+    balance check; ``apply_flow`` runs all five on the flow that is settled.
 
     A round changes only tender capacities: nodes, obligation arcs and their
     seeded order are the same every time. So kernel phase 1 runs once, and
     every round starts phase 2 from its residual.
     """
-    from .validate import is_valid_flow
-
     residual = kernel.Residual()
     net = build_network(g, budget=budget, seed=seed)
     flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
-    report = is_valid_flow(g, flow, ledger)
 
     clamped: set[AgentId] = set()
-    while not report.ok:
-        offenders = {
-            v.ids[0]
-            for v in report.violations
-            if v.check == "NonNegativeBalance" and v.ids
-        }
-        if not offenders or offenders <= clamped:
+    while True:
+        offenders = {v.ids[0] for v in balance_violations(g.pool, flow, ledger)}
+        if not offenders:
+            return flow, solution
+        if offenders <= clamped:
             break
         clamped |= offenders
         net = build_network(
             g, budget=budget, ledger=ledger, seed=seed, clamp_payers=clamped
         )
         flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
-        report = is_valid_flow(g, flow, ledger)
 
-    if report.ok or not any(
-        v.check == "NonNegativeBalance" for v in report.violations
-    ):
-        return flow, solution
     net = build_network(g, budget=budget, ledger=ledger, seed=seed)
     return solve_network(net, epoch_id=epoch_id, residual=residual)
 

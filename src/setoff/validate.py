@@ -13,6 +13,9 @@ ones hold. Edge capacities are re-derived here from the raw pool intents,
 through the resolvers aggregation uses, not read back from the aggregated
 graph, so a corrupted flow cannot smuggle amounts past the caps by targeting
 aggregation output.
+
+``settle.apply_flow`` runs all five checks on every flow it settles; the
+clamp rounds of ``solve_settleable`` ask check 5 alone (``balance_violations``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 
 from .graph import (
     DEFAULT_ACCEPT_PREFIX,
+    EpochPool,
     ObligationGraph,
     accept_cap,
     resolve_deposit,
@@ -282,32 +286,27 @@ def is_valid_flow(
 
     # 5. NonNegativeBalance
     if ledger is not None:
-        deltas: dict[tuple[AgentId, str], int] = {}
-        for tr in f.transfers:
-            if tr.amount <= 0:
-                violations.append(
-                    Violation(
-                        "NonNegativeBalance",
-                        (tr.payer, tr.payee),
-                        "transfer amounts must be positive",
-                    )
-                )
-                continue
-            deltas[(tr.payer, tr.asset)] = deltas.get((tr.payer, tr.asset), 0) - tr.amount
-            deltas[(tr.payee, tr.asset)] = deltas.get((tr.payee, tr.asset), 0) + tr.amount
-        for (agent, asset), delta in sorted(deltas.items()):
-            if pool.issuer_of(asset) == agent:
-                continue  # issuers may run negative: they issue
-            end = ledger.balance(agent, asset) + delta
-            if end < 0:
-                violations.append(
-                    Violation(
-                        "NonNegativeBalance",
-                        (agent,),
-                        f"balance in {asset} would end at {end}",
-                    )
-                )
+        violations = balance_violations(pool, f, ledger)
         if violations:
             return _fail("NonNegativeBalance", violations)
 
     return _VALID
+
+
+def balance_violations(pool: EpochPool, f: SettlementFlow, ledger: Ledger) -> list[Violation]:
+    """Check 5: transfers are positive and overdraw nobody but the asset's issuer."""
+    violations: list[Violation] = []
+    deltas: dict[tuple[AgentId, str], int] = {}
+    for tr in f.transfers:
+        if tr.amount <= 0:
+            detail = "transfer amounts must be positive"
+            violations.append(Violation("NonNegativeBalance", (tr.payer, tr.payee), detail))
+            continue
+        deltas[(tr.payer, tr.asset)] = deltas.get((tr.payer, tr.asset), 0) - tr.amount
+        deltas[(tr.payee, tr.asset)] = deltas.get((tr.payee, tr.asset), 0) + tr.amount
+    for (agent, asset), delta in sorted(deltas.items()):
+        end = ledger.balance(agent, asset) + delta
+        if end < 0 and pool.issuer_of(asset) != agent:  # issuers may run negative
+            detail = f"balance in {asset} would end at {end}"
+            violations.append(Violation("NonNegativeBalance", (agent,), detail))
+    return violations

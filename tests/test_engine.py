@@ -23,6 +23,9 @@ from setoff import (
     ascertain,
 )
 import setoff.engine as engine_module
+import setoff.settle as settle_module
+import setoff.validate as validate_module
+from setoff import kernel
 from setoff.cli import main as cli_main
 from setoff.model import intent_to_obj
 from setoff.settle import NEW_OBLIGATION_PREFIX
@@ -362,6 +365,54 @@ def test_tampered_flow_marks_epoch_failed(tmp_path: Path) -> None:
     assert engine.epoch == 1 and engine.phase == "open"
     assert engine.report(0)["status"] == "failed"
     assert not (tmp_path / "s" / "epochs" / "00000" / "notices.csv").exists()
+
+
+def counting_validations(monkeypatch) -> list:
+    """Log the report of every is_valid_flow call, through every module binding it."""
+    reports: list = []
+    real = validate_module.is_valid_flow
+
+    def counted(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    for module in (validate_module, settle_module, engine_module):
+        monkeypatch.setattr(module, "is_valid_flow", counted)
+    return reports
+
+
+def inflate_first_transfer(flow):
+    tr = flow.transfers[0]
+    return replace(flow, transfers=(replace(tr, amount=tr.amount + 1), *flow.transfers[1:]))
+
+
+@pytest.mark.parametrize("hook", [None, inflate_first_transfer])
+@pytest.mark.parametrize("b_funds, solves", [(10, 1), (5, 2)])  # 5: one clamp round
+def test_each_epoch_validates_its_flow_once(
+    tmp_path: Path, monkeypatch, hook, b_funds: int, solves: int
+) -> None:
+    kernel_calls: list = []
+    real_solve = kernel.solve_min_cost
+    monkeypatch.setattr(
+        kernel, "solve_min_cost", lambda *a, **kw: kernel_calls.append(1) or real_solve(*a, **kw)
+    )
+    reports = counting_validations(monkeypatch)
+    engine = make_engine(tmp_path / "s", opening_balances={"B": {UNIT: b_funds}, "C": {UNIT: 15}})
+    for intent in cycle_intents():
+        submit_signed(engine, intent)
+    engine.freeze()
+    ledger_before = (tmp_path / "s" / "ledger.json").read_bytes()
+    report = engine.run(budget=25, seed=7, _flow_hook=hook)
+    assert len(reports) == 1 and len(kernel_calls) == solves
+    if hook is None:
+        assert report["status"] == "applied" and reports[0].ok
+        return
+    # The hook's flow overdraws B by one: the one validation names it.
+    assert report["status"] == "failed"
+    assert report["violations"] == [
+        [v.check, list(v.ids), v.detail] for v in reports[0].violations
+    ] == [["NonNegativeBalance", ["B"], "balance in UOA would end at -1"]]
+    assert (tmp_path / "s" / "ledger.json").read_bytes() == ledger_before
 
 
 def test_settlement_fault_leaves_epoch_retryable(tmp_path: Path) -> None:
@@ -715,6 +766,28 @@ def test_complete_bad_log_line_names_file_and_line(tmp_path: Path, log: str) -> 
         ClearingEngine(tmp_path / "s").nid()
 
 
+@pytest.mark.parametrize("log", ["keys.jsonl", "epochs/00000/pool.jsonl"])
+def test_complete_non_object_log_line_is_json_on_stderr(
+    tmp_path: Path, capsys, log: str
+) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    engine.freeze()
+    path = tmp_path / "s" / log
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "[1]\n" + "".join(lines[1:]))
+    before = path.read_bytes()
+    intents = tmp_path / "intents.jsonl"
+    write_intents_file(intents, engine.registry)
+    for argv in (["nid"], ["submit", str(intents)], ["run"]):
+        code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "StateError"
+        assert error["detail"].endswith(f"{log}:2: not a JSON object")
+    assert path.read_bytes() == before
+
+
 # --- CLI -------------------------------------------------------------------------
 
 
@@ -813,6 +886,50 @@ def test_cli_simulate(tmp_path: Path, capsys) -> None:
     assert len(rows) == 4
     last = rows[-1].split(",")
     assert float(last[1]) == 1.0  # budget = total debt always clears everything
+
+
+@pytest.mark.parametrize("line", ["[1,2]", '"x"', "7"])
+def test_cli_submit_non_object_line_is_json_on_stderr(
+    tmp_path: Path, capsys, line: str
+) -> None:
+    store = tmp_path / "s"
+    engine = make_engine(store)
+    submit_signed(engine, cycle_intents()[0])
+    pool = store / "epochs" / "00000" / "pool.jsonl"
+    before = pool.read_bytes()
+    intents = tmp_path / "bad.jsonl"
+    intents.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--store", str(store), "submit", str(intents))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "IntentError"
+    assert error["detail"].startswith(f"{intents}:1: intent must be an object")
+    assert pool.read_bytes() == before
+
+
+SMALL_CONFIG = '{"nodes": 6, "edges": 10, "seed": 1}'
+
+
+@pytest.mark.parametrize(
+    "config, fractions, error",
+    [
+        (SMALL_CONFIG, "0,abc", "StateError"),
+        ("[1]", "0,0.5", "StateError"),
+        (SMALL_CONFIG, "0,nan", "AmountError"),
+    ],
+    ids=["abc", "list-config", "nan"],
+)
+def test_cli_simulate_bad_input_is_json_on_stderr(
+    tmp_path: Path, capsys, config: str, fractions: str, error: str
+) -> None:
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    out_csv = tmp_path / "curve.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                             "--fractions", fractions, "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == error
+    assert not out_csv.exists()
 
 
 def test_cli_module_entry_point(tmp_path: Path) -> None:

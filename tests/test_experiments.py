@@ -1,5 +1,6 @@
 """Synthetic graphs, the liquidity multiplier sweep, and the exhaustive oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -191,8 +192,9 @@ def test_curve_rejects_negative_budget() -> None:
     pool = make_pool("x", "y")
     add_signed(pool, Obligation(id="o", debtor="x", creditor="y", amount=10, unit=UNIT))
     g = attach_default_liquidity(aggregate(pool))
-    with pytest.raises(AmountError, match="non-negative"):
-        multiplier_curve(g, [0.5, -0.5])
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(AmountError, match="non-negative"):
+            multiplier_curve(g, [0.5, bad])
 
 
 # --- the sweep against one solve per budget ---------------------------------------

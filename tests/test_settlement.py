@@ -5,6 +5,7 @@ import pytest
 from setoff import (
     Acceptance,
     AcceptanceKind,
+    InvalidFlow,
     Ledger,
     Obligation,
     SettlementError,
@@ -14,6 +15,7 @@ from setoff import (
     aggregate,
     apply_flow,
     compute_nid,
+    is_valid_flow,
     solve,
     solve_settleable,
 )
@@ -239,8 +241,11 @@ def test_invalid_flow_rejected_before_any_mutation() -> None:
     flow = solve(g)  # unclamped: needs 20 from F0
     ledger = funded_ledger(("F0", UNIT, 10))
     before = ledger.canonical_bytes()
-    with pytest.raises(SettlementError, match="flow failed validation"):
+    with pytest.raises(InvalidFlow, match="flow failed validation") as info:
         apply_flow(ledger, flow, g)
+    assert isinstance(info.value, SettlementError)
+    assert info.value.report == is_valid_flow(g, flow, ledger)
+    assert [v.check for v in info.value.report.violations] == ["NonNegativeBalance"]
     assert ledger.canonical_bytes() == before
 
 

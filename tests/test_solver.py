@@ -21,7 +21,7 @@ from setoff import (
 from setoff import _mincost, kernel, solver, validate
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.solver import cancel_cycles, solve_network
-from setoff.validate import ValidationReport, Violation, is_valid_flow
+from setoff.validate import Violation, is_valid_flow
 
 from support import (
     HUB,
@@ -241,20 +241,20 @@ def test_solve_settleable_runs_kernel_phase_1_once(monkeypatch) -> None:
     g, ledger = partly_funded(1)
     solves = counting(monkeypatch, kernel, "solve_min_cost")
     phase1 = counting(monkeypatch, _mincost, "_cycles")
+    validations = counting(monkeypatch, validate, "is_valid_flow")
     solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
     assert len(solves) == 4  # the first round and three clamp rounds
     assert len(phase1) == 1
+    assert len(validations) == 0  # rounds ask the balance check alone
 
 
 def test_full_clamp_starts_from_the_same_phase_1(monkeypatch) -> None:
-    # A validator that always finds one payer overdrawn drives the solve
+    # A balance check that always finds one payer overdrawn drives the solve
     # through one clamp round and then the last-resort full clamp.
     g, ledger = partly_funded(2)
     payer = g.tender_edges[0].sender
-    overdrawn = ValidationReport(
-        ok=False, violations=(Violation("NonNegativeBalance", (payer,), "overdrawn"),)
-    )
-    monkeypatch.setattr(validate, "is_valid_flow", lambda *args: overdrawn)
+    overdrawn = [Violation("NonNegativeBalance", (payer,), "overdrawn")]
+    monkeypatch.setattr(solver, "balance_violations", lambda *args: overdrawn)
     builds = counting(monkeypatch, solver, "build_network")
     solves = counting(monkeypatch, kernel, "solve_min_cost")
     phase1 = counting(monkeypatch, _mincost, "_cycles")
