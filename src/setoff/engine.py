@@ -23,7 +23,8 @@ ever appended to (a cancel rewrites the pool whole). The last key line of an
 agent wins, so a rotation is one more line. A final line without its newline
 is an append that never returned: readers skip it, and the engine truncates
 it away before its next append to that log. A complete line that does not
-parse as a JSON object is a ``StateError``. A store that keeps its keys in
+parse as a JSON object, or a pool line that is not an intent, is a
+``StateError`` naming the file and line. A store that keeps its keys in
 the older ``keys.json`` is refused.
 
 ``run`` writes the full outcome to ``applied.json`` first and only then
@@ -42,7 +43,15 @@ import secrets
 from pathlib import Path
 from typing import Callable
 
-from .errors import IntentError, InvalidFlow, QuotaExceeded, SetoffError, StateError
+from .errors import (
+    AmountError,
+    GraphBuildError,
+    IntentError,
+    InvalidFlow,
+    QuotaExceeded,
+    SetoffError,
+    StateError,
+)
 from .graph import DEFAULT_ACCEPT_PREFIX, EpochPool, aggregate, compute_nid
 from .model import (
     Intent,
@@ -70,18 +79,14 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
 
-def _pool_dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True) + "\n"
-
-
 def _write_atomic(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _read_log(path: Path) -> list[dict]:
-    """The complete lines of a JSONL log as objects; a torn final line is skipped."""
+def _read_log(path: Path) -> list[tuple[int, dict]]:
+    """(line number, object) per complete line of a JSONL log; a torn tail is skipped."""
     if not path.exists():
         return []
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -96,7 +101,7 @@ def _read_log(path: Path) -> list[dict]:
             raise StateError(f"{path}:{n}: not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise StateError(f"{path}:{n}: not a JSON object")
-        objs.append(obj)
+        objs.append((n, obj))
     return objs
 
 
@@ -110,6 +115,19 @@ def _append_log(path: Path, line: str) -> None:
                 fh.seek(0)
                 fh.truncate(fh.read().rfind(b"\n") + 1)
         fh.write(line.encode("utf-8"))
+
+
+def _config_pool(config: dict, registry: KeyRegistry | None = None) -> EpochPool:
+    """An empty pool under a store config; a config the pool refuses is a StateError."""
+    try:
+        return EpochPool(
+            unit=config["unit"],
+            currencies=config["currencies"],
+            default_source=config["default_source"],
+            registry=registry,
+        )
+    except GraphBuildError as exc:
+        raise StateError(f"bad store config: {exc}") from exc
 
 
 def _parse_key(agent: str, key_hex: str) -> bytes:
@@ -134,7 +152,7 @@ class ClearingEngine:
                 f"{self.store} has no keys.jsonl; stores that keep keys.json are not read"
             )
         self.registry = KeyRegistry()
-        for n, obj in enumerate(_read_log(keys_path), start=1):
+        for n, obj in _read_log(keys_path):
             try:
                 agent, key_hex = obj["agent"], obj["key"]
             except KeyError as exc:
@@ -162,27 +180,20 @@ class ClearingEngine:
         store = Path(store)
         if (store / "config.json").exists():
             raise StateError(f"{store} is already initialized")
-        currencies = dict(currencies or {})
-        if default_source is not None:
-            registered = currencies.setdefault(unit, default_source)
-            if registered != default_source:
-                raise StateError(f"default source {default_source} does not issue {unit}")
+        config = {
+            "unit": unit,
+            "currencies": currencies or {},
+            "default_source": default_source,
+            "quota_per_agent": quota_per_agent,
+        }
+        # Refuse what the store could never open before anything is written.
+        config["currencies"] = _config_pool(config).currencies
+        ledger = Ledger(balances=opening_balances or {})
         store.mkdir(parents=True, exist_ok=True)
         (store / "epochs").mkdir(exist_ok=True)
-        _write_atomic(
-            store / "config.json",
-            canonical_dumps(
-                {
-                    "unit": unit,
-                    "currencies": currencies,
-                    "default_source": default_source,
-                    "quota_per_agent": quota_per_agent,
-                }
-            ),
-        )
+        _write_atomic(store / "config.json", canonical_dumps(config))
         _write_atomic(store / "keys.jsonl", "")
         _write_atomic(store / "state.json", canonical_dumps({"epoch": 0, "phase": PHASE_OPEN}))
-        ledger = Ledger(balances=opening_balances or {})
         _write_atomic(store / "ledger.json", canonical_dumps(ledger.to_obj()))
         engine = cls(store)
         engine._epoch_dir(0).mkdir(parents=True, exist_ok=True)
@@ -211,19 +222,16 @@ class ClearingEngine:
             canonical_dumps({"epoch": self.epoch, "phase": self.phase}),
         )
 
-    def _pool_lines(self, epoch: int) -> list[dict]:
-        return _read_log(self._pool_path(epoch))
-
     def _load_pool(self, epoch: int) -> EpochPool:
-        pool = EpochPool(
-            unit=self.config["unit"],
-            currencies=self.config["currencies"],
-            default_source=self.config["default_source"],
-            registry=self.registry,
-        )
-        for obj in self._pool_lines(epoch):
+        pool = _config_pool(self.config, self.registry)
+        path = self._pool_path(epoch)
+        for n, obj in _read_log(path):
             system = bool(obj.pop("system", False))
-            pool.add(intent_from_obj(obj), preverified=system)
+            try:
+                intent = intent_from_obj(obj)
+            except (AmountError, IntentError) as exc:
+                raise StateError(f"{path}:{n}: {exc}") from exc
+            pool.add(intent, preverified=system)
         return pool
 
     def _pool(self, epoch: int) -> EpochPool:
@@ -283,20 +291,19 @@ class ClearingEngine:
 
     def _append_pool_line(self, epoch: int, obj: dict) -> None:
         self._epoch_dir(epoch).mkdir(parents=True, exist_ok=True)
-        _append_log(self._pool_path(epoch), _pool_dumps(obj))
+        _append_log(self._pool_path(epoch), canonical_dumps(obj))
 
     def cancel_intent(self, intent_id: str) -> bool:
         """Withdraw a pooled intent; only allowed while the epoch is open."""
         if self.phase != PHASE_OPEN:
             raise StateError(f"epoch {self.epoch} is frozen; cancellation closed")
-        lines = self._pool_lines(self.epoch)
-        kept = [obj for obj in lines if obj["id"] != intent_id]
-        if len(kept) == len(lines):
+        pool = self._pool(self.epoch)  # every line is an intent, or a StateError
+        if pool.get(intent_id) is None:
             return False
-        _write_atomic(self._pool_path(self.epoch), "".join(map(_pool_dumps, kept)))
-        pool = self._pools.get(self.epoch)
-        if pool is not None:
-            pool.remove(intent_id)
+        path = self._pool_path(self.epoch)
+        kept = [obj for _, obj in _read_log(path) if obj["id"] != intent_id]
+        _write_atomic(path, "".join(map(canonical_dumps, kept)))
+        pool.remove(intent_id)
         return True
 
     # --- epoch lifecycle -----------------------------------------------------

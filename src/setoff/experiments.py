@@ -127,7 +127,6 @@ def attach_default_liquidity(
         currencies=pool.currencies,
         default_source=pool.default_source,
         registry=pool.registry,
-        scheme=pool.scheme,
     )
     for ob in pool.obligations.values():
         new.add(ob, preverified=pool.is_ascertained(ob))
@@ -195,7 +194,7 @@ def multiplier_curve(
         payables[debtor] = payables.get(debtor, 0) + edge.amount
     points = []
     for fraction in fractions:
-        if not math.isfinite(fraction):
+        if not math.isfinite(fraction) or fraction < 0:
             raise AmountError(f"fraction must be finite and non-negative, got {fraction}")
         budget = int(fraction * total)
         cleared, by_debtor = _solve_point(g, budget)

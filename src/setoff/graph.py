@@ -22,13 +22,11 @@ from .model import (
     Intent,
     KeyRegistry,
     Ledger,
+    MAX_AMOUNT,
     Obligation,
-    SignatureScheme,
-    DEFAULT_SCHEME,
     Tender,
     TenderKind,
-    add_amounts,
-    as_amount,
+    as_quantity,
     bound_party,
     verify_ascertainment,
 )
@@ -61,7 +59,6 @@ class EpochPool:
         currencies: dict[str, AgentId] | None = None,
         default_source: AgentId | None = None,
         registry: KeyRegistry | None = None,
-        scheme: SignatureScheme = DEFAULT_SCHEME,
     ) -> None:
         self.unit = unit
         self.currencies: dict[str, AgentId] = dict(currencies or {})
@@ -81,7 +78,6 @@ class EpochPool:
             issuers[issuer] = code
         self._issuer_assets = issuers
         self.registry = registry or KeyRegistry()
-        self.scheme = scheme
         self.obligations: dict[str, Obligation] = {}
         self.acceptances: dict[str, Acceptance] = {}
         self.tenders: dict[str, Tender] = {}
@@ -151,7 +147,7 @@ class EpochPool:
         seen = self._ascertained.get(intent.id)
         if seen is not None and seen[0] is intent and seen[1] is key:
             return True
-        if not verify_ascertainment(intent, self.registry, self.scheme):
+        if not verify_ascertainment(intent, self.registry):
             return False
         self._ascertained[intent.id] = (intent, key)
         return True
@@ -189,8 +185,10 @@ class TenderEdge:
     ``facility`` is None; for overdrafts ``facility`` is the lender whose
     matched repayment acceptances back the draw. ``cap`` is the declared
     unit-of-account cap: ``max_amount`` at the price and, for an overdraft,
-    no more than the matched limits, each floored on its own so settlement
-    can attribute the whole draw across the credit lines.
+    no more than the sum of ``matched_caps``. A matched line's cap is its
+    limit at the price, floored on its own so settlement can attribute the
+    whole draw across the credit lines, and at most ``MAX_AMOUNT``, since
+    each line's share becomes a repayment obligation.
     """
 
     tender_id: str
@@ -203,6 +201,7 @@ class TenderEdge:
     price: Fraction | None  # None = asset is the unit of account
     facility: AgentId | None = None
     matched_acceptances: tuple[str, ...] = ()
+    matched_caps: tuple[int, ...] = ()
 
     @property
     def payer(self) -> AgentId:
@@ -235,7 +234,7 @@ class ObligationGraph:
     excluded: tuple[tuple[str, str], ...] = ()
 
     def total_debt(self) -> int:
-        return add_amounts(*(e.amount for e in self.edges.values()))
+        return sum(e.amount for e in self.edges.values())
 
 
 @dataclass(frozen=True)
@@ -278,8 +277,11 @@ def resolve_tender(pool: EpochPool, tender: Tender) -> TenderEdge | str:
     if currency != pool.unit and price is None:
         return f"tender has no price for {currency}"
     cap = floor_mul_price(tender.max_amount, price)
+    line_caps = tuple(
+        min(floor_mul_price(a.limit or 0, price), MAX_AMOUNT) for a in matches
+    )
     if matches:
-        cap = min(cap, sum(floor_mul_price(a.limit or 0, price) for a in matches))
+        cap = min(cap, sum(line_caps))
     return TenderEdge(
         tender_id=tender.id,
         sender=tender.sender,
@@ -291,6 +293,7 @@ def resolve_tender(pool: EpochPool, tender: Tender) -> TenderEdge | str:
         price=price,
         facility=facility,
         matched_acceptances=tuple(a.id for a in matches),
+        matched_caps=line_caps,
     )
 
 
@@ -341,7 +344,7 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
         edges[pair] = AggregatedEdge(
             debtor=pair[0],
             creditor=pair[1],
-            amount=add_amounts(*(o.amount for o in obs)),
+            amount=sum(o.amount for o in obs),
             obligations=tuple(o.id for o in obs),
         )
 
@@ -408,8 +411,8 @@ def net_positions(g: ObligationGraph) -> dict[AgentId, NetPosition]:
     payables: dict[AgentId, int] = {a: 0 for a in g.nodes}
     receivables: dict[AgentId, int] = {a: 0 for a in g.nodes}
     for (debtor, creditor), edge in g.edges.items():
-        payables[debtor] = add_amounts(payables[debtor], edge.amount)
-        receivables[creditor] = add_amounts(receivables[creditor], edge.amount)
+        payables[debtor] += edge.amount
+        receivables[creditor] += edge.amount
     return {
         a: NetPosition(agent=a, payables=payables[a], receivables=receivables[a])
         for a in g.nodes
@@ -542,7 +545,7 @@ def build_network(
     optimal solutions; without it, order is lexicographic.
     """
     if budget is not None:
-        as_amount(budget)
+        as_quantity(budget)
     rng = random.Random(seed) if seed is not None else None
 
     firm_nodes: set[AgentId] = set()

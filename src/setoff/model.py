@@ -28,42 +28,37 @@ from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from fractions import Fraction
-from typing import Protocol
 
 from .errors import AmountError, IntentError
 
 AgentId = str
 
-# Checked range for minor-unit arithmetic. Python ints do not overflow, but
-# sums beyond this bound indicate corrupt inputs and are reported rather than
-# silently propagated.
+# The bound on what an intent declares: an obligation's amount, an
+# acceptance's limit and a tender's max_amount. Nothing derived from intents
+# is bounded by it: sums, flows, balances and budgets are exact ints of any
+# size.
 MAX_AMOUNT = 2**63 - 1
 
 
-def as_amount(value: object) -> int:
-    """Validate ``value`` as an Amount: a non-negative int within range."""
+def as_quantity(value: object) -> int:
+    """Validate ``value`` as a derived quantity: a non-negative int of any size."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise AmountError(f"amount must be an integer, got {value!r}")
     if value < 0:
         raise AmountError(f"amount must be non-negative, got {value}")
-    if value > MAX_AMOUNT:
+    return value
+
+
+def as_amount(value: object) -> int:
+    """Validate ``value`` as a declared Amount: a quantity within MAX_AMOUNT."""
+    if as_quantity(value) > MAX_AMOUNT:
         raise AmountError(f"amount {value} exceeds the checked range")
     return value
 
 
-def add_amounts(*values: int) -> int:
-    """Sum amounts with an explicit overflow check."""
-    total = 0
-    for v in values:
-        total += as_amount(v)
-        if total > MAX_AMOUNT:
-            raise AmountError("amount sum exceeds the checked range")
-    return total
-
-
 def sub_amount(a: int, b: int) -> int:
     """``a - b`` for amounts; going negative is an error, never a wrap."""
-    result = as_amount(a) - as_amount(b)
+    result = a - b
     if result < 0:
         raise AmountError(f"amount subtraction {a} - {b} is negative")
     return result
@@ -206,9 +201,9 @@ class SettlementRecord:
     def __post_init__(self) -> None:
         _require_id(self.edge_ref, "edge_ref")
         _require_id(self.party, "party")
-        as_amount(self.amount)
+        as_quantity(self.amount)
         if self.currency_amount is not None:
-            as_amount(self.currency_amount[0])
+            as_quantity(self.currency_amount[0])
             _require_id(self.currency_amount[1], "currency_amount asset")
 
 
@@ -225,7 +220,7 @@ class Transfer:
         _require_id(self.payer, "payer")
         _require_id(self.payee, "payee")
         _require_id(self.asset, "asset")
-        as_amount(self.amount)
+        as_quantity(self.amount)
 
 
 @dataclass(frozen=True)
@@ -469,29 +464,6 @@ def flow_from_obj(obj: dict) -> SettlementFlow:
 # --- ascertainment -----------------------------------------------------------
 
 
-class SignatureScheme(Protocol):
-    """Pluggable binding between an agent's key and an intent's canonical bytes."""
-
-    def sign(self, key: bytes, payload: bytes) -> str: ...
-
-    def verify(self, key: bytes, payload: bytes, token: str) -> bool: ...
-
-
-class KeyedHashScheme:
-    """Default scheme: HMAC-SHA256 over the canonical bytes, hex-encoded."""
-
-    def sign(self, key: bytes, payload: bytes) -> str:
-        return hmac.new(key, payload, hashlib.sha256).hexdigest()
-
-    def verify(self, key: bytes, payload: bytes, token: str) -> bool:
-        if not isinstance(token, str):
-            return False
-        return hmac.compare_digest(self.sign(key, payload), token)
-
-
-DEFAULT_SCHEME = KeyedHashScheme()
-
-
 class KeyRegistry:
     """Maps agent ids to their ascertainment keys."""
 
@@ -504,9 +476,6 @@ class KeyRegistry:
     def key_for(self, agent: AgentId) -> bytes | None:
         return self._keys.get(agent)
 
-    def agents(self) -> list[AgentId]:
-        return sorted(self._keys)
-
 
 def bound_party(intent: Intent) -> AgentId:
     """The agent whose key must ascertain the intent."""
@@ -517,29 +486,25 @@ def bound_party(intent: Intent) -> AgentId:
     return intent.sender
 
 
-def ascertain(
-    intent: Intent,
-    registry: KeyRegistry,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
-) -> Intent:
+def _token(key: bytes, intent: Intent) -> str:
+    """HMAC-SHA256 of the intent's canonical bytes under ``key``, hex-encoded."""
+    return hmac.new(key, canonical_serialize(intent), hashlib.sha256).hexdigest()
+
+
+def ascertain(intent: Intent, registry: KeyRegistry) -> Intent:
     """Return a copy of ``intent`` carrying a valid ascertainment token."""
     party = bound_party(intent)
     key = registry.key_for(party)
     if key is None:
         raise IntentError(f"no key registered for {party}")
-    token = scheme.sign(key, canonical_serialize(intent))
-    return replace(intent, ascertainment=token)
+    return replace(intent, ascertainment=_token(key, intent))
 
 
-def verify_ascertainment(
-    intent: Intent,
-    registry: KeyRegistry,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
-) -> bool:
+def verify_ascertainment(intent: Intent, registry: KeyRegistry) -> bool:
     """True iff the intent carries a valid token from its bound party's key."""
-    if intent.ascertainment is None:
+    if not isinstance(intent.ascertainment, str):
         return False
     key = registry.key_for(bound_party(intent))
     if key is None:
         return False
-    return scheme.verify(key, canonical_serialize(intent), intent.ascertainment)
+    return hmac.compare_digest(_token(key, intent), intent.ascertainment)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .errors import InvalidFlow, SettlementError
-from .graph import ObligationGraph, TenderEdge, floor_mul_price, resolve_tender
+from .graph import ObligationGraph, TenderEdge, resolve_tender
 from .model import (
     AgentId,
     Ledger,
@@ -120,7 +120,7 @@ def _overdraft_obligations(
 ) -> tuple[Obligation, ...]:
     """New debt created by overdraft draws, attributed to the backing lines.
 
-    Each matched repayment acceptance absorbs up to its converted limit, in
+    Each matched repayment acceptance absorbs up to its line cap, in
     repayment due date order; the validated draw never exceeds their sum.
     """
     pool = g.pool
@@ -138,11 +138,11 @@ def _overdraft_obligations(
         te = resolve_tender(pool, pool.tenders[tender_id])
         assert isinstance(te, TenderEdge)  # the flow passed validation
         remaining = drawn[tender_id]
-        for acc_id in te.matched_acceptances:
+        for acc_id, line_cap in zip(te.matched_acceptances, te.matched_caps):
             if remaining == 0:
                 break
             acc = pool.acceptances[acc_id]
-            take = min(remaining, floor_mul_price(acc.limit or 0, te.price))
+            take = min(remaining, line_cap)
             if take == 0:
                 continue
             remaining -= take

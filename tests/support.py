@@ -16,6 +16,7 @@ from setoff import (
     TenderKind,
     ascertain,
 )
+from setoff.model import MAX_AMOUNT
 import setoff.graph as graph_module
 
 UNIT = "UOA"
@@ -184,6 +185,30 @@ def two_currency_pool() -> EpochPool:
     return pool
 
 
+def overdraft_past_the_bound_pool() -> EpochPool:
+    """A draw at price 2 that would fan out over two chains of 2^62 + 1.
+
+    bank lends alice EURX on one credit line at the largest declarable
+    limit, and alice owes bob and carol 2^62 + 1 each, who take EURX
+    deposits at bank. Unclamped, the draw is worth 2^63 + 2 in the unit of
+    account: more than one repayment obligation may declare.
+    """
+    pool = make_pool("alice", "bob", "carol", "bank",
+                     currencies={UNIT: HUB, "EURX": "bank"})
+    for creditor in ("bob", "carol"):
+        add_signed(pool, Obligation(id=f"ob:{creditor}", debtor="alice", creditor=creditor,
+                                    amount=2**62 + 1, unit=UNIT))
+        add_signed(pool, Acceptance(id=f"dep:{creditor}", origin=creditor, target="bank",
+                                    kind=AcceptanceKind.DEPOSIT, currency="EURX"))
+    add_signed(pool, Acceptance(id="line", origin="bank", target="alice",
+                                kind=AcceptanceKind.REPAYMENT, currency="EURX",
+                                limit=MAX_AMOUNT, repayment_due="2027-01-31"))
+    add_signed(pool, Tender(id="t:draw", sender="alice", source="bank",
+                            kind=TenderKind.OVERDRAFT, max_amount=MAX_AMOUNT,
+                            price=Fraction(2)))
+    return pool
+
+
 def funded_ledger(*entries: tuple[str, str, int]) -> Ledger:
     ledger = Ledger()
     for agent, asset, amount in entries:
@@ -196,9 +221,9 @@ def counting_verify(monkeypatch) -> list[str]:
     checked: list[str] = []
     real = graph_module.verify_ascertainment
 
-    def verify(intent, registry, scheme):
+    def verify(intent, registry):
         checked.append(intent.id)
-        return real(intent, registry, scheme)
+        return real(intent, registry)
 
     monkeypatch.setattr(graph_module, "verify_ascertainment", verify)
     return checked

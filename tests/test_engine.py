@@ -27,10 +27,10 @@ import setoff.settle as settle_module
 import setoff.validate as validate_module
 from setoff import kernel
 from setoff.cli import main as cli_main
-from setoff.model import intent_to_obj
+from setoff.model import MAX_AMOUNT, intent_to_obj
 from setoff.settle import NEW_OBLIGATION_PREFIX
 
-from support import HUB, UNIT, counting_verify, key_of
+from support import HUB, UNIT, counting_verify, key_of, overdraft_past_the_bound_pool
 
 AGENTS = ("A", "B", "C", "alice", "bob", "carol", HUB)
 
@@ -98,6 +98,13 @@ def test_init_rejects_conflicting_default_source(tmp_path: Path) -> None:
         ClearingEngine.init(
             tmp_path / "s", unit=UNIT, currencies={UNIT: "x"}, default_source="y"
         )
+
+
+def test_init_refuses_a_config_no_pool_accepts_before_any_write(tmp_path: Path) -> None:
+    with pytest.raises(StateError, match="bank cannot issue both A and B"):
+        ClearingEngine.init(tmp_path / "s", unit=UNIT, currencies={"A": "bank", "B": "bank"})
+    assert not (tmp_path / "s" / "config.json").exists()
+    ClearingEngine.init(tmp_path / "s", unit=UNIT, currencies={"A": "bank"})
 
 
 def test_open_requires_initialized_store(tmp_path: Path) -> None:
@@ -206,7 +213,7 @@ def test_cancel_intent(tmp_path: Path) -> None:
     submit_signed(engine, ob)
     assert engine.cancel_intent("o") is True
     assert engine.cancel_intent("o") is False
-    assert engine._pool_lines(0) == []
+    assert engine._pool_path(0).read_text() == ""
     engine.freeze()
     with pytest.raises(StateError, match="cancellation closed"):
         engine.cancel_intent("whatever")
@@ -341,6 +348,55 @@ def test_late_intent_clears_next_epoch(tmp_path: Path) -> None:
     assert second["cleared_debt"] == 10  # the late two-cycle nets out
 
 
+# --- totals past the intent bound ---------------------------------------------------
+
+BIG = 2**62  # each intent within MAX_AMOUNT; the epoch's totals are not
+
+
+def two_big_pairs_engine(path: Path) -> ClearingEngine:
+    engine = make_engine(path, opening_balances={"A": {UNIT: BIG}, "C": {UNIT: BIG}})
+    for debtor, creditor in (("A", "B"), ("C", "alice")):
+        submit_signed(engine, Obligation(id=f"ob:{debtor}", debtor=debtor,
+                                         creditor=creditor, amount=BIG, unit=UNIT))
+        submit_signed(engine, Tender(id=f"t:{debtor}", sender=debtor, source=HUB,
+                                     kind=TenderKind.ASSIGNMENT, max_amount=BIG))
+    return engine
+
+
+def test_epoch_totals_past_the_intent_bound_clear(tmp_path: Path) -> None:
+    outputs = []
+    for name in ("left", "right"):
+        engine = two_big_pairs_engine(tmp_path / name)
+        assert engine.nid() == {"epoch": 0, "nid": 2 * BIG, "total_debt": 2 * BIG}
+        engine.freeze()
+        report = engine.run(seed=3)
+        assert report["status"] == "applied"
+        assert report["cleared_debt"] == 2 * BIG > MAX_AMOUNT
+        assert report["liquidity_used"] == {UNIT: 2 * BIG}
+        assert engine.ledger.balance("B", UNIT) == engine.ledger.balance("alice", UNIT) == BIG
+        outputs.append(store_bytes(tmp_path / name))
+    assert outputs[0] == outputs[1]
+
+
+def test_overdraft_past_the_intent_bound_queues_a_declarable_repayment(
+    tmp_path: Path,
+) -> None:
+    engine = make_engine(tmp_path / "s", currencies={UNIT: HUB, "EURX": "bank"})
+    engine.register_key("bank", key_of("bank").hex())
+    pool = overdraft_past_the_bound_pool()
+    for intent in [*pool.obligations.values(), *pool.acceptances.values(),
+                   *pool.tenders.values()]:
+        engine.submit_intent(intent)
+    engine.freeze()
+    report = engine.run()
+    assert report["status"] == "applied"
+    assert report["cleared_debt"] == MAX_AMOUNT
+    (new_id,) = report["new_obligations"]
+    # The queued repayment is an intent: a fresh engine must parse it back.
+    queued = ClearingEngine(tmp_path / "s")._pool(1).obligations[new_id]
+    assert queued.amount == MAX_AMOUNT
+
+
 # --- failure handling -----------------------------------------------------------
 
 
@@ -460,6 +516,21 @@ def test_crash_after_wal_replays_identically(tmp_path: Path) -> None:
             (tmp_path / "one" / "epochs" / "00000" / name).read_bytes()
             == (tmp_path / "two" / "epochs" / "00000" / name).read_bytes()
         )
+
+
+def test_crash_after_wal_replays_the_enqueue_identically(tmp_path: Path) -> None:
+    """The replayed repayment obligation is written with the same bytes."""
+    for name, crash in (("crashed", True), ("control", False)):
+        engine = make_engine(tmp_path / name)
+        for intent in loan_intents():
+            submit_signed(engine, intent)
+        engine.freeze()
+        if crash:
+            with pytest.raises(RuntimeError, match="crash requested"):
+                engine.run(_crash_after_wal=True)
+            engine = ClearingEngine(tmp_path / name)
+        assert engine.run()["new_obligations"] == [f"{NEW_OBLIGATION_PREFIX}0:t:draw:acc:loan"]
+    assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "control")
 
 
 def store_bytes(store: Path) -> dict[str, bytes]:
@@ -588,7 +659,8 @@ def test_failed_pool_write_leaves_intent_submittable(tmp_path: Path, monkeypatch
         engine.submit_intent(ob)
     monkeypatch.undo()
     assert engine.submit_intent(ob) == 0
-    assert [obj["id"] for obj in engine._pool_lines(0)] == ["o"]
+    lines = engine._pool_path(0).read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["o"]
     assert engine.nid()["total_debt"] == 5
 
 
@@ -766,6 +838,26 @@ def test_complete_bad_log_line_names_file_and_line(tmp_path: Path, log: str) -> 
         ClearingEngine(tmp_path / "s").nid()
 
 
+@pytest.mark.parametrize("line, detail", [
+    ({}, "unknown intent type None"),
+    ({**intent_to_obj(cycle_intents()[0]), "id": "big", "amount": MAX_AMOUNT + 1},
+     "exceeds the checked range"),
+])
+def test_pool_line_that_is_not_an_intent_names_file_and_line(
+    tmp_path: Path, line: dict, detail: str
+) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    pool_path = tmp_path / "s" / "epochs" / "00000" / "pool.jsonl"
+    with open(pool_path, "a") as fh:
+        fh.write(json.dumps(line) + "\n")
+    before = pool_path.read_bytes()
+    for call in (lambda e: e.nid(), lambda e: e.cancel_intent("ob0")):
+        with pytest.raises(StateError, match=f"pool.jsonl:2: .*{detail}"):
+            call(ClearingEngine(tmp_path / "s"))
+    assert pool_path.read_bytes() == before
+
+
 @pytest.mark.parametrize("log", ["keys.jsonl", "epochs/00000/pool.jsonl"])
 def test_complete_non_object_log_line_is_json_on_stderr(
     tmp_path: Path, capsys, log: str
@@ -868,6 +960,19 @@ def test_cli_errors_are_json_on_stderr(tmp_path: Path, capsys) -> None:
     assert json.loads(err)["error"] == "StateError"
     code, _, err = run_cli(capsys, "--store", store, "init")
     assert code == 1 and json.loads(err)["error"] == "StateError"
+
+
+def test_cli_init_with_a_bad_config_leaves_the_path_free(tmp_path: Path, capsys) -> None:
+    store = str(tmp_path / "s")
+    code, out, err = run_cli(capsys, "--store", store, "init",
+                             "--currency", "A=bank", "--currency", "B=bank")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "StateError"
+    assert not (tmp_path / "s" / "config.json").exists()
+    code, _, _ = run_cli(capsys, "--store", store, "init", "--currency", "A=bank")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--store", store, "nid")
+    assert (code, json.loads(out)) == (0, {"epoch": 0, "nid": 0, "total_debt": 0})
 
 
 def test_cli_simulate(tmp_path: Path, capsys) -> None:

@@ -192,7 +192,8 @@ def test_curve_rejects_negative_budget() -> None:
     pool = make_pool("x", "y")
     add_signed(pool, Obligation(id="o", debtor="x", creditor="y", amount=10, unit=UNIT))
     g = attach_default_liquidity(aggregate(pool))
-    for bad in (-0.5, math.nan, math.inf, -math.inf):
+    # -0.05 of 10 truncates to budget 0; it is refused all the same.
+    for bad in (-0.5, -0.05, -1e-12, math.nan, math.inf, -math.inf):
         with pytest.raises(AmountError, match="non-negative"):
             multiplier_curve(g, [0.5, bad])
 

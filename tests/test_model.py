@@ -24,8 +24,8 @@ from setoff import (
 )
 from setoff.model import (
     MAX_AMOUNT,
-    add_amounts,
     as_amount,
+    as_quantity,
     canonical_serialize,
     flow_from_obj,
     flow_to_obj,
@@ -51,10 +51,24 @@ def test_as_amount_rejects(bad: object) -> None:
         as_amount(bad)
 
 
-def test_add_amounts_overflow() -> None:
-    assert add_amounts(1, 2, 3) == 6
+def test_as_quantity_has_no_upper_bound() -> None:
+    assert as_quantity(0) == 0
+    assert as_quantity(2 * MAX_AMOUNT) == 2 * MAX_AMOUNT
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, "3", None, -1])
+def test_as_quantity_rejects(bad: object) -> None:
     with pytest.raises(AmountError):
-        add_amounts(MAX_AMOUNT, 1)
+        as_quantity(bad)
+
+
+def test_settlement_artifacts_carry_amounts_above_the_intent_bound() -> None:
+    big = MAX_AMOUNT + 1
+    rec = SettlementRecord(edge_ref="t", party="A", amount=big, currency_amount=(big, "X"))
+    assert rec.amount == big
+    assert Transfer(payer="A", payee="B", asset="X", amount=big).amount == big
+    with pytest.raises(AmountError):
+        SettlementRecord(edge_ref="t", party="A", amount=-1)
 
 
 def test_sub_amount_underflow() -> None:

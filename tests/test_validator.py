@@ -33,7 +33,15 @@ from setoff.validate import (
     _stage_min_prices,
 )
 
-from support import HUB, UNIT, add_signed, cycle_pool, funded_ledger, make_pool
+from support import (
+    HUB,
+    UNIT,
+    add_signed,
+    cycle_pool,
+    funded_ledger,
+    make_pool,
+    two_currency_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +164,58 @@ def test_nonpositive_amount_is_rejected(cleared_cycle) -> None:
     v = first_violation(g, hacked)
     assert v.check == "SubsetFlow"
     assert v.detail == "record amounts must be positive"
+
+
+# Check 4 on its own: each mutation below keeps every per-party sum within
+# capacity and every firm balanced, so only PairedRecords can see it. On
+# tender records checks 2 and 3 read the sender's record alone.
+
+
+def record_index(flow: SettlementFlow, ref: str, party: str) -> int:
+    return next(
+        i for i, r in enumerate(flow.records) if r.edge_ref == ref and r.party == party
+    )
+
+
+def test_obligation_pair_split_in_four_is_unpaired(cleared_cycle) -> None:
+    g, flow = cleared_cycle
+    split = []
+    for r in flow.records:
+        if r.edge_ref == "ob0":
+            split += [replace(r, amount=r.amount // 2)] * 2
+        else:
+            split.append(r)
+    v = first_violation(g, replace(flow, records=tuple(split)))
+    assert (v.check, v.ids, v.detail) == (
+        "PairedRecords", ("ob0",), "expected 2 records, found 4"
+    )
+
+
+def test_changed_issuer_record_amount_is_unpaired(cleared_cycle) -> None:
+    g, flow = cleared_cycle
+    idx = record_index(flow, "t:B", HUB)
+    v = first_violation(g, mutate(flow, idx, amount=flow.records[idx].amount - 1))
+    assert (v.check, v.ids, v.detail) == (
+        "PairedRecords", ("t:B",), "paired records disagree on amount"
+    )
+
+
+def test_changed_currency_amount_is_unpaired() -> None:
+    g = aggregate(two_currency_pool())
+    flow, _ = solve_network(build_network(g), epoch_id=1)
+    idx = record_index(flow, "t:atom", "D")
+    moved, asset = flow.records[idx].currency_amount
+    v = first_violation(g, mutate(flow, idx, currency_amount=(moved + 1, asset)))
+    assert (v.check, v.ids, v.detail) == (
+        "PairedRecords", ("t:atom",), "paired records disagree on currency amount"
+    )
+
+
+def test_issuer_record_moved_to_a_third_party_is_unpaired(cleared_cycle) -> None:
+    g, flow = cleared_cycle
+    v = first_violation(g, mutate(flow, record_index(flow, "t:B", HUB), party="A"))
+    assert (v.check, v.ids) == ("PairedRecords", ("t:B",))
+    assert v.detail == "record parties ['A', 'B'] are not the edge parties ['B', 'hub']"
 
 
 def test_unascertained_intent_is_rejected() -> None:
