@@ -17,7 +17,6 @@ from .errors import (
     GraphBuildError,
     IntentError,
     InvalidFlow,
-    NetworkBuildError,
     OracleBoundError,
     QuotaExceeded,
     SetoffError,
@@ -103,7 +102,6 @@ __all__ = [
     "Ledger",
     "MultiplierPoint",
     "NetPosition",
-    "NetworkBuildError",
     "NoticeEntry",
     "Obligation",
     "ObligationGraph",

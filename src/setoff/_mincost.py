@@ -24,10 +24,10 @@ acceptances and budget, and each gives the output of a fresh solve. Pass an
 empty ``Residual()`` to ``solve`` to share it: the first solve fills it, and
 a later solve over other obligation arcs raises ``ValueError``.
 
-All quantities are integers. Ties break on node index, and arc order is the
-caller's, so identical inputs give identical outputs. ``INF`` only marks an
-unreached node; "unlimited" capacities and budgets are sized from the inputs,
-so any amount a Python int holds is exact.
+All quantities are integers, and None means unlimited. Ties break on node
+index, and arc order is the caller's, so identical inputs give identical
+outputs. ``INF`` only marks an unreached node; unlimited capacities and
+budgets are sized from the inputs, so any amount a Python int holds is exact.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Residual:
     ``i ^ 1`` is its reverse, and ``adj[u]`` lists the arcs leaving ``u``.
     ``pi`` are the potentials after phase 1, ``ob_arc[k]`` is obligation
     ``k``'s arc and ``cycle_ob_flow[k]`` its cycle flow. ``obligations`` is
-    the ``(n, ob_tail, ob_head, ob_cap)`` it was built from, None while empty.
+    the ``(n, obligations)`` it was built from, None while empty.
     """
 
     __slots__ = ("obligations", "to", "res", "cost", "adj", "pi", "ob_arc", "cycle_ob_flow")
@@ -114,7 +114,7 @@ def _augment(src, snk, to, res, pi, dist, pred, limit: int) -> int:
     return amt
 
 
-def _cycles(r: Residual, n: int, ob_tail, ob_head, ob_cap) -> None:
+def _cycles(r: Residual, n: int, obligations: tuple[tuple[int, int, int], ...]) -> None:
     """Phase 1: fill the empty residual ``r`` with the cycle component."""
     src = n
     snk = n + 1
@@ -128,13 +128,13 @@ def _cycles(r: Residual, n: int, ob_tail, ob_head, ob_cap) -> None:
     # exactly each node's net position.
     excess = [0] * size
     ob_arc = []
-    for k in range(len(ob_tail)):
-        i = _add_arc(to, res, cost, adj, ob_tail[k], ob_head[k], ob_cap[k], -1)
+    for tail, head, cap in obligations:
+        i = _add_arc(to, res, cost, adj, tail, head, cap, -1)
         ob_arc.append(i)
         res[i] = 0
-        res[i + 1] = ob_cap[k]
-        excess[ob_head[k]] += ob_cap[k]
-        excess[ob_tail[k]] -= ob_cap[k]
+        res[i + 1] = cap
+        excess[head] += cap
+        excess[tail] -= cap
 
     # Rebalance the saturation imbalances at minimum cost. No path carries
     # more than its first arc, an imbalance, so the limit never binds.
@@ -147,14 +147,14 @@ def _cycles(r: Residual, n: int, ob_tail, ob_head, ob_cap) -> None:
     pi = [0] * size
     dist = [INF] * size
     pred = [-1] * size
-    limit = sum(ob_cap)
+    limit = sum(cap for _, _, cap in obligations)
     while _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
         _augment(src, snk, to, res, pi, dist, pred, limit)
     for i in aux:
         res[i] = 0
         res[i ^ 1] = 0
 
-    r.obligations = (n, tuple(ob_tail), tuple(ob_head), tuple(ob_cap))
+    r.obligations = (n, obligations)
     r.to, r.res, r.cost, r.adj, r.pi = to, res, cost, adj, pi
     r.ob_arc = ob_arc
     r.cycle_ob_flow = [res[i ^ 1] for i in ob_arc]
@@ -162,38 +162,36 @@ def _cycles(r: Residual, n: int, ob_tail, ob_head, ob_cap) -> None:
 
 def solve(
     n: int,
-    ob_tail: list[int],
-    ob_head: list[int],
-    ob_cap: list[int],
-    t_ptr: list[int],
-    t_node: list[int],
-    t_cap: list[int],
-    a_ptr: list[int],
-    a_node: list[int],
-    a_cap: list[int],
-    budget: int,
+    obligations: list[tuple[int, int, int]],
+    stages: list[tuple[list[tuple[int, int]], list[tuple[int, int | None]]]],
+    budget: int | None,
     residual: Residual | None = None,
-) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]], list[int]]:
     """Run both phases and report flows.
 
     Args:
         n: number of graph nodes, indexed 0..n-1.
-        ob_tail/ob_head/ob_cap: obligation arcs (debtor -> creditor, cap > 0).
-        t_ptr/t_node/t_cap: tender arcs per stage; stage s owns indices
-            t_ptr[s]:t_ptr[s+1]. Caps are unit-of-account integers.
-        a_ptr/a_node/a_cap: acceptance arcs per stage; cap -1 means unlimited.
-        budget: cap on total injected liquidity across stages; -1 = unlimited.
+        obligations: ``(tail, head, cap)`` arcs, debtor -> creditor, cap > 0.
+        stages: one ``(tenders, accepts)`` per currency, in solve order. A
+            tender ``(node, cap)`` is an arc S->node; an acceptance
+            ``(node, cap)`` is an arc node->T whose cap None is unlimited.
+            Caps are unit-of-account integers.
+        budget: cap on total injected liquidity across stages; None is unlimited.
         residual: phase 1 of these obligation arcs, shared between solves;
             an empty one is filled here. None runs phase 1 for this call only.
 
     Returns:
-        (cycle_ob_flow, final_ob_flow, tender_flow, accept_flow, stage_liquidity)
+        ``(cycle_ob_flow, final_ob_flow, tender_flow, accept_flow,
+        stage_liquidity)``: one flow per obligation arc, one list of flows
+        per stage for its tenders and its acceptances, and each stage's
+        injected liquidity.
     """
+    obligations = tuple(obligations)
     if residual is None:
         residual = Residual()
     if residual.obligations is None:
-        _cycles(residual, n, ob_tail, ob_head, ob_cap)
-    elif residual.obligations != (n, tuple(ob_tail), tuple(ob_head), tuple(ob_cap)):
+        _cycles(residual, n, obligations)
+    elif residual.obligations != (n, obligations):
         raise ValueError("the residual was built from other obligation arcs")
 
     # Phase 2: inject liquidity along debt-clearing chains, one currency at a
@@ -209,34 +207,33 @@ def solve(
     pred = [-1] * (n + 2)
     # No augmenting path carries more than its first arc, a tender, so this
     # never binds as a cap or budget.
-    unlimited = sum(ob_cap) + sum(t_cap)
-    remaining = unlimited if budget < 0 else budget
-    n_stages = len(t_ptr) - 1
-    tender_flow = [0] * len(t_node)
-    accept_flow = [0] * len(a_node)
-    stage_liquidity = [0] * n_stages
-    for s in range(n_stages):
-        stage_arcs: list[tuple[bool, int, int]] = []
-        for j in range(t_ptr[s], t_ptr[s + 1]):
-            stage_arcs.append((True, j, _add_arc(to, res, cost, adj, src, t_node[j], t_cap[j], 0)))
-        for j in range(a_ptr[s], a_ptr[s + 1]):
-            cap = a_cap[j] if a_cap[j] >= 0 else unlimited
-            stage_arcs.append((False, j, _add_arc(to, res, cost, adj, a_node[j], snk, cap, 0)))
+    unlimited = sum(cap for _, _, cap in obligations) + sum(
+        cap for tenders, _ in stages for _, cap in tenders
+    )
+    remaining = unlimited if budget is None else budget
+    tender_flow: list[list[int]] = []
+    accept_flow: list[list[int]] = []
+    stage_liquidity: list[int] = []
+    for tenders, accepts in stages:
+        t_arcs = [_add_arc(to, res, cost, adj, src, v, cap, 0) for v, cap in tenders]
+        a_arcs = [
+            _add_arc(to, res, cost, adj, v, snk, unlimited if cap is None else cap, 0)
+            for v, cap in accepts
+        ]
         if n > 0:
             pi[src] = max(pi[v] for v in range(n))
             pi[snk] = min(pi[v] for v in range(n))
+        liquidity = 0
         while remaining > 0 and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
             if dist[snk] - pi[src] + pi[snk] >= 0:
                 break
             pushed = _augment(src, snk, to, res, pi, dist, pred, remaining)
-            stage_liquidity[s] += pushed
+            liquidity += pushed
             remaining -= pushed
-        for is_tender, j, i in stage_arcs:
-            flow = res[i ^ 1]
-            if is_tender:
-                tender_flow[j] = flow
-            else:
-                accept_flow[j] = flow
+        stage_liquidity.append(liquidity)
+        tender_flow.append([res[i ^ 1] for i in t_arcs])
+        accept_flow.append([res[i ^ 1] for i in a_arcs])
+        for i in t_arcs + a_arcs:
             res[i] = 0
             res[i ^ 1] = 0
 

@@ -130,6 +130,13 @@ def _config_pool(config: dict, registry: KeyRegistry | None = None) -> EpochPool
         raise StateError(f"bad store config: {exc}") from exc
 
 
+def _refuse_reserved(intent_id: str) -> None:
+    """Only the engine writes intents under a reserved id prefix."""
+    for prefix in RESERVED_PREFIXES:
+        if intent_id.startswith(prefix):
+            raise IntentError(f"intent id prefix {prefix!r} is reserved")
+
+
 def _parse_key(agent: str, key_hex: str) -> bytes:
     try:
         return bytes.fromhex(key_hex)
@@ -186,9 +193,19 @@ class ClearingEngine:
             "default_source": default_source,
             "quota_per_agent": quota_per_agent,
         }
-        # Refuse what the store could never open before anything is written.
-        config["currencies"] = _config_pool(config).currencies
+        # Refuse what the store could never open or settle before anything is written.
+        if quota_per_agent is not None and quota_per_agent < 0:
+            raise StateError(f"quota per agent must be >= 0, got {quota_per_agent}")
+        pool = _config_pool(config)
+        config["currencies"] = pool.currencies
         ledger = Ledger(balances=opening_balances or {})
+        for agent, per_asset in sorted(ledger.balances.items()):
+            for asset, amount in sorted(per_asset.items()):
+                if amount < 0 and pool.issuer_of(asset) != agent:  # issuers may run negative
+                    raise StateError(
+                        f"opening balance of {agent} in {asset} is {amount}; "
+                        f"only the issuer of {asset} may start negative"
+                    )
         store.mkdir(parents=True, exist_ok=True)
         (store / "epochs").mkdir(exist_ok=True)
         _write_atomic(store / "config.json", canonical_dumps(config))
@@ -252,9 +269,7 @@ class ClearingEngine:
             if isinstance(intent, dict) and "system" in intent:
                 raise IntentError("the system marker is reserved")
             intent = intent_from_obj(intent)
-        for prefix in RESERVED_PREFIXES:
-            if intent.id.startswith(prefix):
-                raise IntentError(f"intent id prefix {prefix!r} is reserved")
+        _refuse_reserved(intent.id)
         target = self.epoch if self.phase == PHASE_OPEN else self.epoch + 1
         for epoch in (self.epoch, self.epoch + 1):
             if self._pool(epoch).get(intent.id) is not None:
@@ -297,6 +312,7 @@ class ClearingEngine:
         """Withdraw a pooled intent; only allowed while the epoch is open."""
         if self.phase != PHASE_OPEN:
             raise StateError(f"epoch {self.epoch} is frozen; cancellation closed")
+        _refuse_reserved(intent_id)
         pool = self._pool(self.epoch)  # every line is an intent, or a StateError
         if pool.get(intent_id) is None:
             return False

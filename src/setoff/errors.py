@@ -17,10 +17,6 @@ class GraphBuildError(SetoffError):
     """The intent pool cannot be aggregated into an obligation graph."""
 
 
-class NetworkBuildError(SetoffError):
-    """The obligation graph cannot be lowered to a flow network."""
-
-
 class SettlementError(SetoffError):
     """A settlement flow was refused; the ledger is untouched."""
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
-from .errors import GraphBuildError, NetworkBuildError
+from .errors import GraphBuildError
 from .model import (
     Acceptance,
     AcceptanceKind,
@@ -218,7 +218,6 @@ class AcceptanceEdge:
     issuer: AgentId
     currency: str
     limit: int | None  # None = unlimited
-    implicit: bool = False
 
 
 @dataclass
@@ -385,7 +384,6 @@ def aggregate(pool: EpochPool) -> ObligationGraph:
                     issuer=pool.default_source,
                     currency=pool.unit,
                     limit=None,
-                    implicit=True,
                 )
             )
 
@@ -455,7 +453,6 @@ class Stage:
     """One currency circuit: processed separately, in ascending code order."""
 
     currency: str
-    issuer: AgentId
     tender_arcs: tuple[TenderArc, ...]
     accept_arcs: tuple[AcceptArc, ...]
 
@@ -464,7 +461,6 @@ class Stage:
 class FlowNetwork:
     unit: str
     nodes: tuple[AgentId, ...]
-    node_index: dict[AgentId, int]
     ob_arcs: tuple[ObArc, ...]
     stages: tuple[Stage, ...]
     budget: int | None
@@ -524,28 +520,30 @@ def build_network(
     ledger: Ledger | None = None,
     seed: int | None = None,
     *,
-    clamp_payers: set[AgentId] | None = None,
+    clamp_payers: Collection[AgentId] = (),
 ) -> FlowNetwork:
     """Lower an obligation graph to the solver's flow network.
 
     Obligation arcs carry the aggregated amounts at unit cost -1; liquidity
     arcs carry converted unit-of-account capacities at cost 0, grouped into
-    per-currency stages. When a ledger is given, tender capacities are
-    clamped so the eventual transfers cannot overdraw the payer: assignments
-    debit the sender's balance, overdrafts the facility's, and tenders
-    debiting the same balance split it in tender-id order rather than each
-    seeing the full amount. Each tender draws the least currency amount whose
-    converted value covers its cap, not its whole ``max_amount``. Issuers are exempt; they may issue. The clamp is
-    conservative: a draw that exits at its own facility nets to nothing and
-    needs no balance, but that is only known after routing. ``clamp_payers``
-    narrows the clamp to the named payers; other tenders keep their declared
-    capacity.
+    per-currency stages. The tenders of each payer named in ``clamp_payers``
+    are clamped to its balance in ``ledger``, so the eventual transfers
+    cannot overdraw it: assignments debit the sender's balance, overdrafts
+    the facility's, and tenders debiting the same balance split it in
+    tender-id order rather than each seeing the full amount. Each tender
+    draws the least currency amount whose converted value covers its cap,
+    not its whole ``max_amount``. Issuers are exempt; they may issue. Every
+    other tender keeps its declared capacity. The clamp is conservative: a
+    draw that exits at its own facility nets to nothing and needs no
+    balance, but that is only known after routing.
 
     ``seed`` deterministically permutes arc order, selecting among equally
     optimal solutions; without it, order is lexicographic.
     """
     if budget is not None:
         as_quantity(budget)
+    if clamp_payers and ledger is None:
+        raise ValueError("clamping payers needs a ledger")
     rng = random.Random(seed) if seed is not None else None
 
     firm_nodes: set[AgentId] = set()
@@ -584,11 +582,7 @@ def build_network(
     for te in g.tender_edges:
         cap = te.cap
         payer = te.payer
-        if (
-            ledger is not None
-            and payer != te.issuer
-            and (clamp_payers is None or payer in clamp_payers)
-        ):
+        if payer in clamp_payers and payer != te.issuer:
             # The least currency amount whose converted value covers cap.
             want = floor_div_price(cap, te.price)
             if floor_mul_price(want, te.price) < cap:
@@ -612,17 +606,12 @@ def build_network(
     stages = []
     for currency in sorted(by_currency):
         tender_arcs, accept_arcs = by_currency[currency]
-        issuer = g.pool.issuer_of(currency)
-        if issuer is None:
-            # Unreachable after aggregate(), which excludes unknown currencies.
-            raise NetworkBuildError(f"currency {currency} has no issuer")
         if rng is not None:
             rng.shuffle(tender_arcs)
             rng.shuffle(accept_arcs)
         stages.append(
             Stage(
                 currency=currency,
-                issuer=issuer,
                 tender_arcs=tuple(tender_arcs),
                 accept_arcs=tuple(accept_arcs),
             )
@@ -631,7 +620,6 @@ def build_network(
     return FlowNetwork(
         unit=g.unit,
         nodes=nodes,
-        node_index=node_index,
         ob_arcs=tuple(ob_arcs),
         stages=tuple(stages),
         budget=budget,

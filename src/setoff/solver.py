@@ -12,8 +12,6 @@ settlement flow with paired records and direct transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 from . import kernel
 from .graph import (
     FlowNetwork,
@@ -39,44 +37,6 @@ class FlowSolution:
     liquidity_used: dict[str, int]
 
 
-class _KernelRun(NamedTuple):
-    cycle_ob: list[int]
-    final_ob: list[int]
-    tender: list[int]
-    accept: list[int]
-    stage_liquidity: list[int]
-
-
-def _run_kernel(
-    net: FlowNetwork, with_stages: bool, residual: kernel.Residual | None = None
-) -> _KernelRun:
-    ob_tail = [a.tail for a in net.ob_arcs]
-    ob_head = [a.head for a in net.ob_arcs]
-    ob_cap = [a.cap for a in net.ob_arcs]
-    t_ptr, t_node, t_cap = [0], [], []
-    a_ptr, a_node, a_cap = [0], [], []
-    if with_stages:
-        for stage in net.stages:
-            for ta in stage.tender_arcs:
-                t_node.append(ta.node)
-                t_cap.append(ta.cap)
-            t_ptr.append(len(t_node))
-            for aa in stage.accept_arcs:
-                a_node.append(aa.node)
-                a_cap.append(-1 if aa.cap is None else aa.cap)
-            a_ptr.append(len(a_node))
-    budget = -1 if net.budget is None else net.budget
-    out = kernel.solve_min_cost(
-        len(net.nodes),
-        ob_tail, ob_head, ob_cap,
-        t_ptr, t_node, t_cap,
-        a_ptr, a_node, a_cap,
-        budget,
-        residual=residual,
-    )
-    return _KernelRun(*out)
-
-
 def _ob_key(debtor: str, creditor: str) -> str:
     return f"ob:{debtor}>{creditor}"
 
@@ -87,16 +47,16 @@ def cancel_cycles(net: FlowNetwork) -> FlowSolution:
     Every negative-cost residual cycle is eliminated; the resulting flow is
     balanced at every node, so net positions are untouched.
     """
-    run = _run_kernel(net, with_stages=False)
+    obligations = [(a.tail, a.head, a.cap) for a in net.ob_arcs]
+    cycle_ob = kernel.solve_min_cost(len(net.nodes), obligations, [], None)[0]
     arc_flows = {
         _ob_key(a.debtor, a.creditor): f
-        for a, f in zip(net.ob_arcs, run.cycle_ob)
+        for a, f in zip(net.ob_arcs, cycle_ob)
         if f
     }
-    cleared = sum(run.cycle_ob)
     return FlowSolution(
         arc_flows=arc_flows,
-        cleared_debt=cleared,
+        cleared_debt=sum(cycle_ob),
         liquidity_used={},
     )
 
@@ -109,7 +69,17 @@ def solve_network(
     ``residual`` shares kernel phase 1 with other solves over the same
     obligation arcs (see ``setoff._mincost``); it is filled on first use.
     """
-    run = _run_kernel(net, with_stages=True, residual=residual)
+    _, final_ob, tender_flow, accept_flow, stage_liquidity = kernel.solve_min_cost(
+        len(net.nodes),
+        [(a.tail, a.head, a.cap) for a in net.ob_arcs],
+        [
+            ([(a.node, a.cap) for a in stage.tender_arcs],
+             [(a.node, a.cap) for a in stage.accept_arcs])
+            for stage in net.stages
+        ],
+        net.budget,
+        residual=residual,
+    )
     g = net.graph
     pool = g.pool
 
@@ -119,7 +89,7 @@ def solve_network(
     # Aggregated obligation flows split back into contributing obligations,
     # oldest due date first, then smallest id.
     flow_by_pair: dict[tuple[str, str], int] = {}
-    for arc, flow in zip(net.ob_arcs, run.final_ob):
+    for arc, flow in zip(net.ob_arcs, final_ob):
         if flow:
             flow_by_pair[(arc.debtor, arc.creditor)] = flow
             arc_flows[_ob_key(arc.debtor, arc.creditor)] = flow
@@ -136,18 +106,11 @@ def solve_network(
 
     transfers: dict[tuple[str, str, str], int] = {}
     liquidity: dict[str, int] = {}
-    t_at = a_at = 0
-    for s, stage in enumerate(net.stages):
-        tender_used = []
-        for ta in stage.tender_arcs:
-            if run.tender[t_at]:
-                tender_used.append((ta.edge, run.tender[t_at]))
-            t_at += 1
-        accept_used = []
-        for aa in stage.accept_arcs:
-            if run.accept[a_at]:
-                accept_used.append((aa.edge, run.accept[a_at]))
-            a_at += 1
+    for stage, t_flows, a_flows, injected in zip(
+        net.stages, tender_flow, accept_flow, stage_liquidity
+    ):
+        tender_used = [(ta.edge, f) for ta, f in zip(stage.tender_arcs, t_flows) if f]
+        accept_used = [(aa.edge, f) for aa, f in zip(stage.accept_arcs, a_flows) if f]
         tender_used.sort(key=lambda item: item[0].tender_id)
         accept_used.sort(key=lambda item: item[0].edge_id)
         total_in = sum(f for _, f in tender_used)
@@ -156,8 +119,8 @@ def solve_network(
             raise AssertionError(
                 f"stage {stage.currency} unbalanced: {total_in} in, {total_out} out"
             )
-        if run.stage_liquidity[s]:
-            liquidity[stage.currency] = run.stage_liquidity[s]
+        if injected:
+            liquidity[stage.currency] = injected
         foreign = stage.currency != net.unit
 
         # Pair tender inflows with acceptance outflows in order. Currency
@@ -240,7 +203,7 @@ def solve_network(
             for k, v in transfers.items()
         ),
     )
-    cleared = sum(run.final_ob)
+    cleared = sum(final_ob)
     solution = FlowSolution(
         arc_flows=arc_flows,
         cleared_debt=cleared,
@@ -259,39 +222,37 @@ def solve_settleable(
 ) -> tuple[SettlementFlow, FlowSolution]:
     """Solve so the result can be applied to ``ledger`` as-is.
 
-    The first pass runs on declared capacities alone: transfers net out
+    The first round runs on declared capacities alone: transfers net out
     wherever a draw exits at its own payer, so balances often do not bind
     (a credit line can clear a cycle through the lender with no assets at
-    all). If that flow would overdraw someone, only the overdrawn payers'
-    tenders are clamped to their balances and the solve repeats; tenders
-    that turned out to need no assets keep their declared capacity. Each
-    round either overdraws nobody or adds a payer to the clamp set, so the
-    loop ends; clamping everyone is the last resort. Rounds ask only the
-    balance check; ``apply_flow`` runs all five on the flow that is settled.
+    all). If that flow would overdraw someone, the overdrawn payers join the
+    clamp set, their tenders are clamped to their balances, and the solve
+    repeats; tenders that turned out to need no assets keep their declared
+    capacity. Rounds ask only the balance check; ``apply_flow`` runs all five
+    on the flow that is settled.
+
+    The rounds end when the balance check names no payer outside the clamp
+    set, and that round's flow is returned. On a ledger where every
+    non-issuer balance is non-negative, no clamped payer is ever named: its
+    tenders draw their covering amounts from one balance pot, so its
+    transfers cannot overdraw it, and an agent that pays nothing only
+    receives. So each round adds a payer, and the last overdraws nobody. On
+    a ledger that already overdraws a non-issuer, the returned flow still
+    overdraws it, and ``apply_flow`` refuses it.
 
     A round changes only tender capacities: nodes, obligation arcs and their
     seeded order are the same every time. So kernel phase 1 runs once, and
     every round starts phase 2 from its residual.
     """
     residual = kernel.Residual()
-    net = build_network(g, budget=budget, seed=seed)
-    flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
-
-    clamped: set[AgentId] = set()
+    clamped: frozenset[AgentId] = frozenset()
     while True:
-        offenders = {v.ids[0] for v in balance_violations(g.pool, flow, ledger)}
-        if not offenders:
-            return flow, solution
-        if offenders <= clamped:
-            break
-        clamped |= offenders
-        net = build_network(
-            g, budget=budget, ledger=ledger, seed=seed, clamp_payers=clamped
-        )
+        net = build_network(g, budget=budget, ledger=ledger, seed=seed, clamp_payers=clamped)
         flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
-
-    net = build_network(g, budget=budget, ledger=ledger, seed=seed)
-    return solve_network(net, epoch_id=epoch_id, residual=residual)
+        offenders = {v.ids[0] for v in balance_violations(g.pool, flow, ledger)}
+        if offenders <= clamped:
+            return flow, solution
+        clamped = clamped | offenders
 
 
 def solve(

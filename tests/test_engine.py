@@ -107,6 +107,24 @@ def test_init_refuses_a_config_no_pool_accepts_before_any_write(tmp_path: Path) 
     ClearingEngine.init(tmp_path / "s", unit=UNIT, currencies={"A": "bank"})
 
 
+def test_init_refuses_a_negative_opening_balance_before_any_write(tmp_path: Path) -> None:
+    with pytest.raises(StateError, match="opening balance of A in UOA is -5"):
+        make_engine(tmp_path / "s", opening_balances={"A": {UNIT: -5}, "B": {UNIT: 3}})
+    assert not (tmp_path / "s" / "config.json").exists()
+    # The issuer of an asset may start negative in it: that is issuance.
+    engine = make_engine(tmp_path / "s", opening_balances={HUB: {UNIT: -5}, "B": {UNIT: 5}})
+    assert engine.ledger.balance(HUB, UNIT) == -5
+
+
+def test_init_refuses_a_negative_quota_before_any_write(tmp_path: Path) -> None:
+    with pytest.raises(StateError, match="quota per agent must be >= 0, got -1"):
+        make_engine(tmp_path / "s", quota_per_agent=-1)
+    assert not (tmp_path / "s" / "config.json").exists()
+    engine = make_engine(tmp_path / "s", quota_per_agent=0)
+    with pytest.raises(QuotaExceeded, match="B already holds 0 intents"):
+        submit_signed(engine, Obligation(id="o", debtor="B", creditor="A", amount=1, unit=UNIT))
+
+
 def test_open_requires_initialized_store(tmp_path: Path) -> None:
     with pytest.raises(StateError, match="not an initialized store"):
         ClearingEngine(tmp_path / "nothing")
@@ -296,6 +314,12 @@ def test_overdraft_creates_next_epoch_obligation(tmp_path: Path) -> None:
     (line,) = [json.loads(l) for l in queued.splitlines() if l]
     assert line["id"] == new_id and line["system"] is True
     assert line["ascertainment"] is None
+
+    # Only the engine may withdraw what it wrote under a reserved id.
+    with pytest.raises(IntentError, match="reserved"):
+        engine.cancel_intent(new_id)
+    assert engine._pool(1).get(new_id) is not None
+    assert (tmp_path / "s" / "epochs" / "00001" / "pool.jsonl").read_text() == queued
 
     # The system obligation is preverified and persists while unclearable.
     engine.freeze()
@@ -960,6 +984,20 @@ def test_cli_errors_are_json_on_stderr(tmp_path: Path, capsys) -> None:
     assert json.loads(err)["error"] == "StateError"
     code, _, err = run_cli(capsys, "--store", store, "init")
     assert code == 1 and json.loads(err)["error"] == "StateError"
+
+
+def test_cli_init_refuses_a_negative_fund_and_leaves_the_path_free(
+    tmp_path: Path, capsys
+) -> None:
+    store = str(tmp_path / "s")
+    code, out, err = run_cli(capsys, "--store", store, "init", "--default-source", HUB,
+                             "--fund", f"A:{UNIT}:-5", "--fund", f"B:{UNIT}:3")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "StateError"
+    assert not (tmp_path / "s" / "config.json").exists()
+    code, _, _ = run_cli(capsys, "--store", store, "init", "--default-source", HUB,
+                         "--fund", f"{HUB}:{UNIT}:-5", "--fund", f"B:{UNIT}:5")
+    assert code == 0
 
 
 def test_cli_init_with_a_bad_config_leaves_the_path_free(tmp_path: Path, capsys) -> None:

@@ -163,7 +163,7 @@ def test_implicit_default_acceptances() -> None:
     g = aggregate(cycle_pool())
     ids = [e.edge_id for e in g.acceptance_edges]
     assert ids == ["accept:default:A", "accept:default:B", "accept:default:C"]
-    assert all(e.implicit and e.limit is None and e.issuer == HUB
+    assert all(e.limit is None and e.issuer == HUB
                for e in g.acceptance_edges)
 
 
@@ -316,7 +316,7 @@ def test_build_network_chain_structure() -> None:
         ("F0", "F1", 20), ("F1", "F2", 20), ("F2", "F3", 20),
     ]
     (stage,) = net.stages
-    assert stage.currency == UNIT and stage.issuer == HUB
+    assert stage.currency == UNIT
     assert [(a.edge.tender_id, a.cap) for a in stage.tender_arcs] == [("t:head", 20)]
     assert [(a.edge.edge_id, a.cap) for a in stage.accept_arcs] == [("acc:tail", None)]
 
@@ -351,7 +351,7 @@ def test_balance_clamp_shares_one_pot() -> None:
     ledger = funded_ledger(("a", UNIT, 35))
     caps = {
         a.edge.tender_id: a.cap
-        for stage in build_network(g, ledger=ledger).stages
+        for stage in build_network(g, ledger=ledger, clamp_payers={"a"}).stages
         for a in stage.tender_arcs
     }
     # t1 takes its fill first (tender-id order), t2 gets the remainder.
@@ -364,9 +364,27 @@ def test_balance_clamp_exempts_issuer() -> None:
     add_signed(pool, Tender(id="t", sender=HUB, source=HUB,
                             kind=TenderKind.ASSIGNMENT, max_amount=40))
     g = aggregate(pool)
-    net = build_network(g, ledger=funded_ledger())  # hub holds nothing
+    net = build_network(g, ledger=funded_ledger(), clamp_payers={HUB})  # hub holds nothing
     (stage,) = net.stages
     assert stage.tender_arcs[0].cap == 40
+
+
+def test_balance_clamp_names_its_payers() -> None:
+    pool = make_pool("a", "b")
+    for sender in ("a", "b"):
+        add_signed(pool, Tender(id=f"t:{sender}", sender=sender, source=HUB,
+                                kind=TenderKind.ASSIGNMENT, max_amount=30))
+    g = aggregate(pool)
+    ledger = funded_ledger(("a", UNIT, 5), ("b", UNIT, 5))
+
+    def caps(**kwargs) -> dict[str, int]:
+        (stage,) = build_network(g, **kwargs).stages
+        return {a.edge.tender_id: a.cap for a in stage.tender_arcs}
+
+    assert caps(ledger=ledger) == {"t:a": 30, "t:b": 30}  # nobody named, nobody clamped
+    assert caps(ledger=ledger, clamp_payers={"b"}) == {"t:a": 30, "t:b": 5}
+    with pytest.raises(ValueError, match="needs a ledger"):
+        build_network(g, clamp_payers={"b"})
 
 
 def test_overdraft_cap_uses_per_acceptance_floors() -> None:
@@ -391,7 +409,7 @@ def test_assignment_clamp_draws_only_the_covering_amount() -> None:
                                 kind=TenderKind.ASSIGNMENT, max_amount=5,
                                 price=Fraction(1, 2)))
     g = aggregate(pool)
-    net = build_network(g, ledger=funded_ledger(("a", "EURX", 8)))
+    net = build_network(g, ledger=funded_ledger(("a", "EURX", 8)), clamp_payers={"a"})
     stage = next(s for s in net.stages if s.currency == "EURX")
     # Each cap is floor(5 * 1/2) = 2 UOA, which 4 EURX covers; 8 EURX fund both.
     assert {a.edge.tender_id: a.cap for a in stage.tender_arcs} == {"t1": 2, "t2": 2}
@@ -405,11 +423,11 @@ def test_overdraft_facility_clamp_rounds_want_up() -> None:
                             max_amount=10, price=Fraction(3, 4)))
     g = aggregate(pool)
     # Unclamped cap: floor(10 * 3/4) = 7 UOA, which needs ceil(7 / (3/4)) = 10 USDX.
-    net = build_network(g, ledger=funded_ledger(("b", "USDX", 10)))
+    net = build_network(g, ledger=funded_ledger(("b", "USDX", 10)), clamp_payers={"b"})
     stage = next(s for s in net.stages if s.currency == "USDX")
     assert stage.tender_arcs[0].cap == 7
     # With only 9 USDX the cap drops to floor(9 * 3/4) = 6.
-    net = build_network(g, ledger=funded_ledger(("b", "USDX", 9)))
+    net = build_network(g, ledger=funded_ledger(("b", "USDX", 9)), clamp_payers={"b"})
     stage = next(s for s in net.stages if s.currency == "USDX")
     assert stage.tender_arcs[0].cap == 6
 

@@ -11,35 +11,23 @@ from setoff._mincost import solve as python_solve
 def random_instance(seed: int):
     rng = random.Random(seed)
     n = rng.randint(0, 6)
-    arcs = []
+    obligations = []
     if n >= 2:
         for _ in range(rng.randint(0, 8)):
             tail = rng.randrange(n)
             head = rng.randrange(n)
             if tail != head:
-                arcs.append((tail, head, rng.randint(1, 10)))
-    n_stages = rng.randint(0, 2) if n else 0
-    t_ptr, t_node, t_cap = [0], [], []
-    a_ptr, a_node, a_cap = [0], [], []
-    for _ in range(n_stages):
-        for _ in range(rng.randint(0, 3)):
-            t_node.append(rng.randrange(n))
-            t_cap.append(rng.randint(0, 10))
-        for _ in range(rng.randint(0, 3)):
-            a_node.append(rng.randrange(n))
-            a_cap.append(rng.choice([-1, rng.randint(0, 10)]))
-        t_ptr.append(len(t_node))
-        a_ptr.append(len(a_node))
-    budget = rng.choice([-1, rng.randint(0, 15)])
-    return (
-        n,
-        [a[0] for a in arcs],
-        [a[1] for a in arcs],
-        [a[2] for a in arcs],
-        t_ptr, t_node, t_cap,
-        a_ptr, a_node, a_cap,
-        budget,
-    )
+                obligations.append((tail, head, rng.randint(1, 10)))
+    stages = []
+    for _ in range(rng.randint(0, 2) if n else 0):
+        tenders = [(rng.randrange(n), rng.randint(0, 10)) for _ in range(rng.randint(0, 3))]
+        accepts = [
+            (rng.randrange(n), rng.choice([None, rng.randint(0, 10)]))
+            for _ in range(rng.randint(0, 3))
+        ]
+        stages.append((tenders, accepts))
+    budget = rng.choice([None, rng.randint(0, 15)])
+    return n, obligations, stages, budget
 
 
 def test_python_backend_always_available() -> None:
@@ -50,24 +38,22 @@ def test_python_backend_always_available() -> None:
 def test_kernel_postconditions_random() -> None:
     for seed in range(60):
         inst = random_instance(seed)
-        (n, ob_tail, ob_head, ob_cap, t_ptr, t_node, t_cap,
-         a_ptr, a_node, a_cap, budget) = inst
+        n, obligations, stages, budget = inst
         cycle, final, tender, accept, stage_liq = python_solve(*inst)
-        for flow, cap in zip(cycle, ob_cap):
+        assert len(tender) == len(accept) == len(stage_liq) == len(stages)
+        for flow, (_, _, cap) in zip(cycle, obligations):
             assert 0 <= flow <= cap
-        for flow, cap in zip(final, ob_cap):
+        for flow, (_, _, cap) in zip(final, obligations):
             assert 0 <= flow <= cap
-        for flow, cap in zip(tender, t_cap):
-            assert 0 <= flow <= cap
-        for flow, cap in zip(accept, a_cap):
-            assert 0 <= flow
-            if cap != -1:
-                assert flow <= cap
-        for s in range(len(t_ptr) - 1):
-            t_total = sum(tender[t_ptr[s]:t_ptr[s + 1]])
-            a_total = sum(accept[a_ptr[s]:a_ptr[s + 1]])
-            assert t_total == a_total == stage_liq[s]
-        if budget != -1:
+        for s, (tenders, accepts) in enumerate(stages):
+            for flow, (_, cap) in zip(tender[s], tenders):
+                assert 0 <= flow <= cap
+            for flow, (_, cap) in zip(accept[s], accepts):
+                assert 0 <= flow
+                if cap is not None:
+                    assert flow <= cap
+            assert sum(tender[s]) == sum(accept[s]) == stage_liq[s]
+        if budget is not None:
             assert sum(stage_liq) <= budget
 
 
@@ -88,23 +74,19 @@ def staged_variants(seed: int, n_variants: int = 4):
         tail, head = rng.randrange(n), rng.randrange(n)
         if tail != head:
             arcs.append((tail, head, rng.randint(1, 40)))
-    obligations = (n, [a[0] for a in arcs], [a[1] for a in arcs], [a[2] for a in arcs])
     variants = []
     for _ in range(n_variants):
-        t_ptr, t_node, t_cap = [0], [], []
-        a_ptr, a_node, a_cap = [0], [], []
+        stages = []
         for _ in range(rng.randint(1, 3)):
-            for _ in range(rng.randint(0, 4)):
-                t_node.append(rng.randrange(n))
-                t_cap.append(rng.randint(0, 50))
-            for _ in range(rng.randint(0, 4)):
-                a_node.append(rng.randrange(n))
-                a_cap.append(rng.choice([-1, rng.randint(0, 50)]))
-            t_ptr.append(len(t_node))
-            a_ptr.append(len(a_node))
-        budget = rng.choice([-1, rng.randint(0, 80)])
-        variants.append((t_ptr, t_node, t_cap, a_ptr, a_node, a_cap, budget))
-    return obligations, variants
+            tenders = [(rng.randrange(n), rng.randint(0, 50)) for _ in range(rng.randint(0, 4))]
+            accepts = [
+                (rng.randrange(n), rng.choice([None, rng.randint(0, 50)]))
+                for _ in range(rng.randint(0, 4))
+            ]
+            stages.append((tenders, accepts))
+        budget = rng.choice([None, rng.randint(0, 80)])
+        variants.append((stages, budget))
+    return (n, arcs), variants
 
 
 def residual_state(r: _mincost.Residual) -> tuple:
@@ -130,8 +112,9 @@ def test_shared_residual_matches_fresh_solve() -> None:
 
 
 def test_residual_refuses_other_obligation_arcs() -> None:
-    (n, tail, head, cap), variants = staged_variants(7)
+    (n, arcs), variants = staged_variants(7)
     residual = kernel.Residual()
-    kernel.solve_min_cost(n, tail, head, cap, *variants[0], residual=residual)
+    kernel.solve_min_cost(n, arcs, *variants[0], residual=residual)
+    other = [(tail, head, cap + 1) for tail, head, cap in arcs]
     with pytest.raises(ValueError, match="other obligation arcs"):
-        kernel.solve_min_cost(n, tail, head, [c + 1 for c in cap], *variants[0], residual=residual)
+        kernel.solve_min_cost(n, other, *variants[0], residual=residual)

@@ -7,11 +7,13 @@ import pytest
 from setoff import (
     Acceptance,
     AcceptanceKind,
+    InvalidFlow,
     Ledger,
     Obligation,
     Tender,
     TenderKind,
     aggregate,
+    apply_flow,
     build_network,
     compute_nid,
     net_positions,
@@ -32,6 +34,7 @@ from support import (
     funded_ledger,
     make_pool,
     p2p_loan_pool,
+    random_liquidity_pool,
     two_currency_pool,
 )
 
@@ -248,9 +251,9 @@ def test_solve_settleable_runs_kernel_phase_1_once(monkeypatch) -> None:
     assert len(validations) == 0  # rounds ask the balance check alone
 
 
-def test_full_clamp_starts_from_the_same_phase_1(monkeypatch) -> None:
+def test_a_payer_named_again_ends_the_rounds(monkeypatch) -> None:
     # A balance check that always finds one payer overdrawn drives the solve
-    # through one clamp round and then the last-resort full clamp.
+    # through one clamp round; naming that payer again ends the rounds.
     g, ledger = partly_funded(2)
     payer = g.tender_edges[0].sender
     overdrawn = [Violation("NonNegativeBalance", (payer,), "overdrawn")]
@@ -259,12 +262,64 @@ def test_full_clamp_starts_from_the_same_phase_1(monkeypatch) -> None:
     solves = counting(monkeypatch, kernel, "solve_min_cost")
     phase1 = counting(monkeypatch, _mincost, "_cycles")
     shared = solve_settleable(g, None, ledger, seed=2)
-    assert [("ledger" in kw, "clamp_payers" in kw) for kw in builds] == [
-        (False, False), (True, True), (True, False)
-    ]
-    assert len(solves) == 3 and len(phase1) == 1
+    assert [kw["clamp_payers"] for kw in builds] == [set(), {payer}]
+    assert len(solves) == 2 and len(phase1) == 1
     fresh_solves(monkeypatch)
     assert solve_settleable(g, None, ledger, seed=2) == shared
+
+
+def test_no_clamp_round_names_a_clamped_payer(monkeypatch) -> None:
+    # A clamped payer's tenders draw from one balance pot, so on a ledger
+    # with no negative balance each round names only new payers and the
+    # last names nobody.
+    named: list[set[str]] = []
+
+    def balance_check(*args):
+        violations = validate.balance_violations(*args)
+        named.append({v.ids[0] for v in violations})
+        return violations
+
+    monkeypatch.setattr(solver, "balance_violations", balance_check)
+    builds = counting(monkeypatch, solver, "build_network")
+    clamp_rounds = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        pool = random_liquidity_pool(rng)
+        g = aggregate(pool)
+        ledger = funded_ledger(*(
+            (agent, code, rng.choice((0, rng.randint(0, 40))))
+            for agent in g.nodes
+            for code in pool.currencies
+        ))
+        for budget in (None, compute_nid(g) // 2):
+            builds.clear()
+            named.clear()
+            flow, _ = solve_settleable(g, budget, ledger, seed=seed)
+            for kw, offenders in zip(builds, named):
+                assert not offenders & kw["clamp_payers"], (seed, budget)
+            assert named[-1] == set(), (seed, budget)
+            assert is_valid_flow(g, flow, ledger).ok, (seed, budget)
+            clamp_rounds += len(builds) - 1
+    assert clamp_rounds >= 50  # the clamp is exercised (89 rounds in 600 solves)
+
+
+def test_a_non_issuer_that_starts_negative_is_refused() -> None:
+    # b pays a 3 through a 3-unit tender, and a starts at -5: the 3 it
+    # receives leave it at -2. Clamping a changes nothing, so a is named
+    # again, the rounds end, and apply_flow refuses the flow.
+    pool = make_pool("a", "b")
+    add_signed(pool, Obligation(id="o", debtor="b", creditor="a", amount=3, unit=UNIT))
+    add_signed(pool, Tender(id="t", sender="b", source=HUB,
+                            kind=TenderKind.ASSIGNMENT, max_amount=3))
+    g = aggregate(pool)
+    ledger = funded_ledger(("a", UNIT, -5), ("b", UNIT, 3))
+    flow, _ = solve_settleable(g, None, ledger)
+    with pytest.raises(InvalidFlow) as refused:
+        apply_flow(ledger, flow, g)
+    assert [(v.check, v.ids) for v in refused.value.report.violations] == [
+        ("NonNegativeBalance", ("a",))
+    ]
+    assert ledger.balance("a", UNIT) == -5
 
 
 @pytest.mark.parametrize("seed", range(6))

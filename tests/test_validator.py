@@ -2,18 +2,14 @@
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from setoff import (
-    Acceptance,
     AcceptanceKind,
     Ledger,
     SettlementFlow,
     SettlementRecord,
-    Tender,
-    TenderKind,
     Transfer,
     aggregate,
     build_network,
@@ -36,10 +32,10 @@ from setoff.validate import (
 from support import (
     HUB,
     UNIT,
-    add_signed,
     cycle_pool,
     funded_ledger,
     make_pool,
+    random_liquidity_pool,
     two_currency_pool,
 )
 
@@ -366,56 +362,6 @@ def test_verify_notices_round_trip(cleared_cycle) -> None:
 
 
 # --- one admission rule ----------------------------------------------------------
-
-
-def random_liquidity_pool(rng: random.Random):
-    """Obligations plus tenders and acceptances of every resolvable shape.
-
-    Sources, currencies and targets are drawn from valid and invalid choices,
-    prices are often missing, and some repayment acceptances are unsigned, so
-    overdrafts meet missing, disagreeing and foreign backing lines.
-    """
-    firms = ("a", "b", "c", "d")
-    currencies = {UNIT: HUB, "EURX": "ecb", "USDX": "bankx"}
-    pool = make_pool(*firms, currencies=currencies,
-                     default_source=rng.choice((HUB, None)))
-    codes = (*currencies, "NOPE")
-
-    def price():
-        return rng.choice((None, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
-
-    def limit():
-        return rng.choice((None, rng.randint(0, 40)))
-
-    for i in range(rng.randint(1, 6)):
-        debtor, creditor = rng.sample(firms, 2)
-        add_signed(pool, Obligation(id=f"ob{i}", debtor=debtor, creditor=creditor,
-                                    amount=rng.randint(1, 50), unit=UNIT))
-    for i in range(rng.randint(0, 4)):
-        add_signed(pool, Acceptance(
-            id=f"dep{i}", origin=rng.choice(firms),
-            target=rng.choice((*currencies.values(), "a")),
-            kind=AcceptanceKind.DEPOSIT, currency=rng.choice(codes), limit=limit()))
-    for i in range(rng.randint(0, 4)):
-        lender, borrower = rng.sample(firms, 2)
-        line = Acceptance(id=f"line{i}", origin=lender, target=borrower,
-                          kind=AcceptanceKind.REPAYMENT, currency=rng.choice(codes),
-                          limit=rng.randint(1, 40))
-        if rng.random() < 0.2:
-            pool.add(line)
-        else:
-            add_signed(pool, line)
-    for i in range(rng.randint(1, 5)):
-        add_signed(pool, Tender(
-            id=f"as{i}", sender=rng.choice(firms),
-            source=rng.choice((*currencies.values(), "nobody")),
-            kind=TenderKind.ASSIGNMENT, max_amount=rng.randint(1, 40), price=price()))
-    for i in range(rng.randint(0, 5)):
-        sender, lender = rng.sample(firms, 2)
-        add_signed(pool, Tender(
-            id=f"od{i}", sender=sender, source=lender,
-            kind=TenderKind.OVERDRAFT, max_amount=rng.randint(1, 40), price=price()))
-    return pool
 
 
 def test_aggregation_network_and_validator_agree_on_every_liquidity_edge() -> None:
