@@ -69,7 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sub.add_parser("nid", help="net internal debt of the current pool")
+    sub.add_parser(
+        "nid",
+        help="NID and total debt of the current epoch's admitted obligations "
+        "(not intents queued for the next epoch)",
+    )
 
     p = sub.add_parser("simulate", help="run the liquidity multiplier experiment")
     p.add_argument("--config", type=Path, required=True, help="synthetic graph JSON config")

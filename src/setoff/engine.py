@@ -27,6 +27,8 @@ parse as a JSON object, or a pool line that is not an intent, is a
 ``StateError`` naming the file and line. A store that keeps its keys in
 the older ``keys.json`` is refused.
 
+``init`` writes ``config.json`` last, so a path where ``init`` failed does
+not open as a store, and a second ``init`` there completes it.
 ``run`` writes the full outcome to ``applied.json`` first and only then
 mutates ledger and state; a crash at any point either leaves the old state
 intact or leaves a complete commit log that the next ``run`` replays. The
@@ -73,6 +75,9 @@ RESERVED_PREFIXES = (DEFAULT_ACCEPT_PREFIX, NEW_OBLIGATION_PREFIX)
 
 PHASE_OPEN = "open"
 PHASE_FROZEN = "frozen"
+
+# The names ``init`` writes: an unfinished store holds only these and their .tmp files.
+_INIT_NAMES = frozenset({"epochs", "keys.jsonl", "state.json", "ledger.json", "config.json"})
 
 
 def canonical_dumps(obj) -> str:
@@ -166,6 +171,7 @@ class ClearingEngine:
                 raise StateError(f"{keys_path}:{n}: not a key line") from exc
             self.registry.register(agent, _parse_key(agent, key_hex))
         self._pools: dict[int, EpochPool] = {}
+        self._pool_files: dict[int, Path] = {}
         state = json.loads((self.store / "state.json").read_text())
         self.epoch: int = state["epoch"]
         self.phase: str = state["phase"]
@@ -183,10 +189,19 @@ class ClearingEngine:
         quota_per_agent: int | None = None,
         opening_balances: dict[str, dict[str, int]] | None = None,
     ) -> "ClearingEngine":
-        """Create a fresh store; fails if one already exists there."""
+        """Create a fresh store at a free path, an empty directory or an unfinished store.
+
+        ``config.json`` is written last, so a failed ``init`` leaves a path
+        that does not open as a store and that ``init`` takes again.
+        """
         store = Path(store)
         if (store / "config.json").exists():
             raise StateError(f"{store} is already initialized")
+        if store.exists() and not (
+            store.is_dir()
+            and all(p.name.removesuffix(".tmp") in _INIT_NAMES for p in store.iterdir())
+        ):
+            raise StateError(f"{store} exists and is not an empty directory or an unfinished store")
         config = {
             "unit": unit,
             "currencies": currencies or {},
@@ -207,14 +222,12 @@ class ClearingEngine:
                         f"only the issuer of {asset} may start negative"
                     )
         store.mkdir(parents=True, exist_ok=True)
-        (store / "epochs").mkdir(exist_ok=True)
-        _write_atomic(store / "config.json", canonical_dumps(config))
+        (store / "epochs" / "00000").mkdir(parents=True, exist_ok=True)
         _write_atomic(store / "keys.jsonl", "")
         _write_atomic(store / "state.json", canonical_dumps({"epoch": 0, "phase": PHASE_OPEN}))
         _write_atomic(store / "ledger.json", canonical_dumps(ledger.to_obj()))
-        engine = cls(store)
-        engine._epoch_dir(0).mkdir(parents=True, exist_ok=True)
-        return engine
+        _write_atomic(store / "config.json", canonical_dumps(config))  # last: marks the store whole
+        return cls(store)
 
     def register_key(self, agent: str, key_hex: str | None = None) -> str:
         """Add (or rotate) an agent's ascertainment key; returns the hex key."""
@@ -232,6 +245,15 @@ class ClearingEngine:
 
     def _pool_path(self, epoch: int) -> Path:
         return self._epoch_dir(epoch) / "pool.jsonl"
+
+    def _pool_file(self, epoch: int) -> Path:
+        """The pool log of ``epoch``, its directory made on the first call only."""
+        path = self._pool_files.get(epoch)
+        if path is None:
+            path = self._pool_path(epoch)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._pool_files[epoch] = path
+        return path
 
     def _save_state(self) -> None:
         _write_atomic(
@@ -305,8 +327,7 @@ class ClearingEngine:
         return accepted
 
     def _append_pool_line(self, epoch: int, obj: dict) -> None:
-        self._epoch_dir(epoch).mkdir(parents=True, exist_ok=True)
-        _append_log(self._pool_path(epoch), canonical_dumps(obj))
+        _append_log(self._pool_file(epoch), canonical_dumps(obj))
 
     def cancel_intent(self, intent_id: str) -> bool:
         """Withdraw a pooled intent; only allowed while the epoch is open."""
@@ -328,8 +349,7 @@ class ClearingEngine:
         """Close the current epoch's pool; late intents queue for the next."""
         if self.phase != PHASE_OPEN:
             raise StateError(f"epoch {self.epoch} is already frozen")
-        self._epoch_dir(self.epoch).mkdir(parents=True, exist_ok=True)
-        self._pool_path(self.epoch).touch()
+        self._pool_file(self.epoch).touch()
         self.phase = PHASE_FROZEN
         self._save_state()
         return self.epoch
@@ -421,23 +441,23 @@ class ClearingEngine:
                     self._append_pool_line(epoch + 1, obj)
                     next_pool.add(intent_from_obj(obj), preverified=True)
         self._pools.pop(epoch, None)
+        self._pool_files.pop(epoch, None)
         self.epoch = epoch + 1
         self.phase = PHASE_OPEN
-        self._epoch_dir(self.epoch).mkdir(parents=True, exist_ok=True)
-        self._pool_path(self.epoch).touch()
+        self._pool_file(self.epoch).touch()
         self._save_state()
         return wal["report"]
 
     # --- inspection ------------------------------------------------------------
 
     def nid(self) -> dict:
-        """NID and total debt of the current epoch's pool as it stands."""
-        g = aggregate(self._pool(self.epoch))
-        return {
-            "epoch": self.epoch,
-            "nid": compute_nid(g),
-            "total_debt": g.total_debt(),
-        }
+        """NID and total debt of the current epoch's admitted obligations.
+
+        They are the pool's running totals: the same numbers ``run`` reports
+        from ``aggregate``, without folding the pool again.
+        """
+        nid, total_debt = self._pool(self.epoch).totals()
+        return {"epoch": self.epoch, "nid": nid, "total_debt": total_debt}
 
     def report(self, epoch: int | None = None) -> dict:
         if epoch is None:

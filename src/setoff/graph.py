@@ -51,6 +51,13 @@ class EpochPool:
     The pool counts its intents per bound party, and remembers each intent
     it has ascertained together with the key that checked it, so each intent
     is verified once until its party's key changes.
+
+    From the first ``totals()`` call on, the pool also keeps the net
+    position of each agent over its admitted obligations (ascertained, in
+    the epoch unit, as ``aggregate`` admits them), their total debt and
+    their NID, so that ``add`` and ``remove`` update two agents each and a
+    query is O(1). A pool that is never asked pays nothing for them. A key
+    registered after the last count makes the next query count again.
     """
 
     def __init__(
@@ -84,6 +91,11 @@ class EpochPool:
         self.preverified: set[str] = set()
         self._held: dict[AgentId, int] = {}
         self._ascertained: dict[str, tuple[Intent, bytes]] = {}
+        # Running totals of admitted obligations; None until the first query.
+        self._net: dict[AgentId, int] | None = None
+        self._nid = 0
+        self._debt = 0
+        self._counted_at = -1  # registry.version of the last count
 
     def issuer_of(self, asset: str) -> AgentId | None:
         return self.currencies.get(asset)
@@ -107,12 +119,16 @@ class EpochPool:
             self.preverified.add(intent.id)
         party = bound_party(intent)
         self._held[party] = self._held.get(party, 0) + 1
+        if self._net is not None:
+            self._count(intent, 1)
 
     def remove(self, intent_id: str) -> None:
         """Withdraw one pooled intent, with its count and verification marks."""
         intent = self.get(intent_id)
         if intent is None:
             raise GraphBuildError(f"no intent {intent_id} in the pool")
+        if self._net is not None:
+            self._count(intent, -1)  # before the ascertainment mark goes
         for table in (self.obligations, self.acceptances, self.tenders):
             table.pop(intent_id, None)
         self.preverified.discard(intent_id)
@@ -121,6 +137,31 @@ class EpochPool:
         self._held[party] -= 1
         if not self._held[party]:
             del self._held[party]
+
+    def totals(self) -> tuple[int, int]:
+        """(NID, total debt) of the admitted obligations, as ``aggregate`` admits them."""
+        if self._net is None or self._counted_at != self.registry.version:
+            self._net, self._nid, self._debt = {}, 0, 0
+            self._counted_at = self.registry.version
+            for ob in self.obligations.values():
+                self._count(ob, 1)
+        return self._nid, self._debt
+
+    def _count(self, intent: Intent, sign: int) -> None:
+        """Add (sign 1) or take out (sign -1) one intent's part of current totals."""
+        if not (
+            self._counted_at == self.registry.version
+            and isinstance(intent, Obligation)
+            and intent.unit == self.unit
+            and self.is_ascertained(intent)
+        ):
+            return
+        amount = sign * intent.amount
+        self._debt += amount
+        for agent, delta in ((intent.debtor, -amount), (intent.creditor, amount)):
+            old = self._net.get(agent, 0)
+            new = self._net[agent] = old + delta
+            self._nid += max(0, -new) - max(0, -old)
 
     def held_by(self, party: AgentId) -> int:
         """How many pooled intents ``party`` is the bound party of."""

@@ -465,13 +465,19 @@ def flow_from_obj(obj: dict) -> SettlementFlow:
 
 
 class KeyRegistry:
-    """Maps agent ids to their ascertainment keys."""
+    """Maps agent ids to their ascertainment keys.
+
+    ``version`` counts registrations, so a holder of counts that depend on
+    which intents ascertain can tell when to recount.
+    """
 
     def __init__(self, keys: dict[AgentId, bytes] | None = None) -> None:
         self._keys: dict[AgentId, bytes] = dict(keys or {})
+        self.version = 0
 
     def register(self, agent: AgentId, key: bytes) -> None:
         self._keys[agent] = key
+        self.version += 1
 
     def key_for(self, agent: AgentId) -> bytes | None:
         return self._keys.get(agent)

@@ -125,6 +125,64 @@ def test_init_refuses_a_negative_quota_before_any_write(tmp_path: Path) -> None:
         submit_signed(engine, Obligation(id="o", debtor="B", creditor="A", amount=1, unit=UNIT))
 
 
+def init_files(store: Path) -> dict[str, bytes | None]:
+    """Every file and directory of a store: bytes per file, None per directory."""
+    return {
+        p.relative_to(store).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in sorted(store.rglob("*"))
+    }
+
+
+@pytest.mark.parametrize("empty_dir", [False, True])
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+def test_a_failed_init_leaves_a_path_that_does_not_open_and_inits_again(
+    tmp_path: Path, monkeypatch, fail_at: int, empty_dir: bool
+) -> None:
+    ClearingEngine.init(tmp_path / "clean", unit=UNIT, default_source=HUB)
+    clean = init_files(tmp_path / "clean")
+    store = tmp_path / "parent" / "s"
+    if empty_dir:
+        store.mkdir(parents=True)
+    real_write, writes = engine_module._write_atomic, []
+
+    def write(path: Path, data: str) -> None:
+        writes.append(path.name)
+        if len(writes) == fail_at:
+            path.with_name(path.name + ".tmp").write_text(data[:1])  # torn temporary file
+            raise OSError("crash")
+        real_write(path, data)
+
+    monkeypatch.setattr(engine_module, "_write_atomic", write)
+    with pytest.raises(OSError, match="crash"):
+        ClearingEngine.init(store, unit=UNIT, default_source=HUB)
+    monkeypatch.undo()
+    assert writes == ["keys.jsonl", "state.json", "ledger.json", "config.json"][:fail_at]
+    with pytest.raises(StateError, match="not an initialized store"):
+        ClearingEngine(store)
+    ClearingEngine.init(store, unit=UNIT, default_source=HUB)
+    assert {k: v for k, v in init_files(store).items() if not k.endswith(".tmp")} == clean
+    assert [p.name for p in store.parent.iterdir()] == ["s"]
+
+
+def test_init_takes_only_a_free_path_an_empty_directory_or_an_unfinished_store(
+    tmp_path: Path, monkeypatch
+) -> None:
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "notes.txt").write_text("keep")
+    for name in ("file", "dir"):
+        with pytest.raises(StateError, match=f"{tmp_path / name} exists and is not an empty"):
+            ClearingEngine.init(tmp_path / name, unit=UNIT)
+    assert (tmp_path / "file").read_text() == "x"
+    assert [p.name for p in (tmp_path / "dir").iterdir()] == ["notes.txt"]
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")  # an empty working directory, named "."
+    assert ClearingEngine.init(".", unit=UNIT).nid() == {"epoch": 0, "nid": 0, "total_debt": 0}
+    assert ClearingEngine(".").epoch == 0
+    assert (tmp_path / "here" / "config.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "here"]
+
+
 def test_open_requires_initialized_store(tmp_path: Path) -> None:
     with pytest.raises(StateError, match="not an initialized store"):
         ClearingEngine(tmp_path / "nothing")
@@ -154,6 +212,33 @@ def test_submit_during_freeze_targets_next_epoch(tmp_path: Path) -> None:
     assert submit_signed(engine, late) == 1
     lines = (tmp_path / "s" / "epochs" / "00001" / "pool.jsonl").read_text()
     assert '"id":"ob:late"' in lines
+    engine.run(seed=7)
+    engine.freeze()
+    engine = ClearingEngine(tmp_path / "s")  # an engine that has made no directory yet
+    later = Obligation(id="ob:later", debtor="A", creditor="C", amount=5, unit=UNIT)
+    assert submit_signed(engine, later) == 2
+    lines = (tmp_path / "s" / "epochs" / "00002" / "pool.jsonl").read_text()
+    assert '"id":"ob:later"' in lines
+
+
+def test_intake_makes_one_mkdir_per_epoch(tmp_path: Path, monkeypatch) -> None:
+    engine = make_engine(tmp_path / "s")
+    real, made = Path.mkdir, []
+
+    def mkdir(self, *args, **kwargs):
+        made.append(self.relative_to(tmp_path / "s").as_posix())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    for i in range(30):
+        submit_signed(engine, Obligation(id=f"o{i}", debtor="A", creditor="B",
+                                         amount=1, unit=UNIT))
+    engine.freeze()
+    for i in range(30, 40):
+        submit_signed(engine, Obligation(id=f"o{i}", debtor="B", creditor="C",
+                                         amount=1, unit=UNIT))
+    engine.run()
+    assert made == ["epochs/00000", "epochs/00001"]
 
 
 def test_submit_duplicate_is_idempotent(tmp_path: Path) -> None:

@@ -1,5 +1,6 @@
 """Pool aggregation, net positions, and lowering to the flow network."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from setoff import (
     Tender,
     TenderKind,
     aggregate,
+    ascertain,
     build_network,
     compute_nid,
     net_positions,
@@ -231,6 +233,48 @@ def test_rotated_key_is_checked_afresh() -> None:
     assert exclusion_reasons(aggregate(pool)) == {"ob0": "ascertainment failed"}
     pool.registry.register("A", key_of("A"))
     assert pool.is_ascertained(ob)
+
+
+def fold_totals(pool) -> tuple[int, int]:
+    g = aggregate(pool)
+    return compute_nid(g), g.total_debt()
+
+
+def test_pool_totals_follow_a_key_rotated_through_the_registry() -> None:
+    pool = cycle_pool(with_tenders=True)
+    assert pool.totals() == fold_totals(pool) == (25, 95)
+    pool.registry.register("A", key_of("someone else"))
+    assert pool.totals() == fold_totals(pool) == (45, 75)  # ob0 is not A's any more
+    add_signed(pool, Obligation(id="ob3", debtor="A", creditor="C", amount=5, unit=UNIT))
+    assert pool.totals() == fold_totals(pool) == (40, 80)
+    pool.registry.register("A", key_of("A"))
+    assert pool.totals() == fold_totals(pool) == (25, 95)  # and ob3 was signed by the other key
+    pool.remove("ob3")
+    pool.remove("ob1")
+    assert pool.totals() == fold_totals(pool) == (45, 65)
+
+
+def test_pool_totals_equal_a_fold_after_every_change() -> None:
+    agents = ("A", "B", "C", "D")
+    for seed in range(100):
+        rng = random.Random(seed)
+        pool = make_pool(*agents)
+        signer = registry_for(*agents)
+        for n in range(30):
+            op = rng.choice(["add", "add", "foreign", "forged", "remove", "rotate", "ask"])
+            if op == "remove" and pool.obligations:
+                pool.remove(rng.choice(sorted(pool.obligations)))
+            elif op == "rotate":
+                agent = rng.choice(agents)
+                pool.registry.register(agent, key_of(rng.choice([agent, "other"])))
+            elif op in ("add", "foreign", "forged"):
+                debtor, creditor = rng.sample(agents, 2)
+                ob = Obligation(id=f"o{n}", debtor=debtor, creditor=creditor,
+                                amount=rng.randint(1, 50), unit="EUR" if op == "foreign" else UNIT)
+                signed = ascertain(ob, signer)
+                pool.add(replace(signed, ascertainment="00" * 32) if op == "forged" else signed)
+            if op == "ask" or rng.random() < 0.5:
+                assert pool.totals() == fold_totals(pool), (seed, n, op)
 
 
 def test_pool_counts_intents_per_bound_party() -> None:
