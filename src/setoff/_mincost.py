@@ -11,10 +11,19 @@ alone: the maximum debt dischargeable with zero liquidity, with every
 negative-cost residual cycle eliminated.
 
 Phase 2 (chain component): per currency stage, tender arcs S->sender and
-acceptance arcs origin->T are attached and successive shortest S->T paths are
-augmented while their true cost stays negative (each unit of injected
-liquidity must discharge at least one unit of debt) and budget remains. Stage
+acceptance arcs origin->T are attached, and liquidity is pushed one cost
+level at a time (primal-dual; Ahuja, Magnanti & Orlin, *Network Flows*,
+ch. 9). One Dijkstra pass finds the shortest S->T path; while its true cost is
+negative (each unit of injected liquidity must discharge at least one unit of
+debt), its distances are folded into the potentials, and Dinic-style blocking
+flows are pushed over the zero-reduced-cost arcs until T is unreachable over
+them or the budget is spent. Every such path is a shortest path, so the flow
+stays min-cost for its value, and each pass finds a new, dearer level. Stage
 arcs are frozen before the next stage; obligation residuals are shared.
+Phase 1 still augments one shortest path per pass. The same routine there
+makes the ``simulate`` sweep about ten times faster, but the benchmark keeps
+every sweep pass's graph, so its peak memory would then break its bound; phase
+1 follows once the benchmark stops that (ROADMAP item 1).
 
 Phase 1 depends on the obligation arcs alone. Its output is a ``Residual``:
 the arc arrays, the potentials after phase 1 and the cycle flows. Phase 2
@@ -108,10 +117,88 @@ def _augment(src, snk, to, res, pi, dist, pred, limit: int) -> int:
         res[i] -= amt
         res[i ^ 1] += amt
         v = to[i ^ 1]
-    d_snk = dist[snk]
+    _fold(pi, dist, dist[snk])
+    return amt
+
+
+def _fold(pi, dist, d_snk: int) -> None:
+    """Add each node's distance, capped at the sink's, to its potential.
+
+    Afterwards no residual arc has negative reduced cost, and the arcs of
+    every shortest src->snk path have reduced cost zero.
+    """
     for w in range(len(pi)):
         pi[w] += dist[w] if dist[w] < d_snk else d_snk
-    return amt
+
+
+def _blocking_flows(src, snk, to, res, cost, adj, pi, limit: int) -> int:
+    """Push up to ``limit`` over the admissible arcs until snk is unreachable.
+
+    An arc is admissible when it has residual capacity and zero reduced cost,
+    so every src->snk path over such arcs is a shortest path. Each round
+    levels the nodes by BFS from src, then pushes a blocking flow by DFS along
+    arcs that climb one level, with a current-arc pointer per node; dead ends
+    drop out of the round. The levels keep the DFS off zero-cost 2-cycles,
+    such as a partly filled obligation arc and its reverse.
+    """
+    size = len(pi)
+    adm = [
+        [i for i in arcs if cost[i] + pi[u] == pi[to[i]]]
+        for u, arcs in enumerate(adj)
+    ]
+    pushed = 0
+    while pushed < limit:
+        level = [-1] * size
+        level[src] = 0
+        queue = [src]
+        for u in queue:
+            up = level[u] + 1
+            for i in adm[u]:
+                v = to[i]
+                if level[v] < 0 and res[i] > 0:
+                    level[v] = up
+                    queue.append(v)
+        if level[snk] < 0:
+            break
+        ptr = [0] * size
+        path: list[int] = []
+        u = src
+        while pushed < limit:
+            if u == snk:
+                amt = limit - pushed
+                for i in path:
+                    if res[i] < amt:
+                        amt = res[i]
+                for i in path:
+                    res[i] -= amt
+                    res[i ^ 1] += amt
+                pushed += amt
+                # Retreat to the tail of the first arc the push saturated.
+                for k, i in enumerate(path):
+                    if res[i] == 0:
+                        del path[k:]
+                        u = to[i ^ 1]
+                        break
+                continue
+            arcs = adm[u]
+            p = ptr[u]
+            up = level[u] + 1
+            while p < len(arcs):
+                i = arcs[p]
+                if res[i] > 0 and level[to[i]] == up:
+                    break
+                p += 1
+            ptr[u] = p
+            if p < len(arcs):
+                path.append(arcs[p])
+                u = to[arcs[p]]
+            elif path:
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                ptr[u] += 1
+            else:
+                break
+    return pushed
 
 
 def _cycles(r: Residual, n: int, obligations: tuple[tuple[int, int, int], ...]) -> None:
@@ -195,7 +282,8 @@ def solve(
         raise ValueError("the residual was built from other obligation arcs")
 
     # Phase 2: inject liquidity along debt-clearing chains, one currency at a
-    # time. A path is worth taking only while its true cost is negative.
+    # time and one cost level per pass. A level is worth taking only while
+    # its true cost is negative.
     to = residual.to.copy()
     res = residual.res.copy()
     cost = residual.cost.copy()
@@ -227,7 +315,8 @@ def solve(
         while remaining > 0 and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
             if dist[snk] - pi[src] + pi[snk] >= 0:
                 break
-            pushed = _augment(src, snk, to, res, pi, dist, pred, remaining)
+            _fold(pi, dist, dist[snk])
+            pushed = _blocking_flows(src, snk, to, res, cost, adj, pi, remaining)
             liquidity += pushed
             remaining -= pushed
         stage_liquidity.append(liquidity)

@@ -208,7 +208,7 @@ def match_repayments(pool: EpochPool, tender: Tender) -> list[Acceptance]:
     return matches
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregatedEdge:
     """All open obligations between one ordered (debtor, creditor) pair."""
 
@@ -218,7 +218,7 @@ class AggregatedEdge:
     obligations: tuple[str, ...]  # contributing ids, oldest due date first, then id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TenderEdge:
     """A tender resolved against the epoch's currency registry.
 
@@ -250,7 +250,7 @@ class TenderEdge:
         return self.sender if self.facility is None else self.facility
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcceptanceEdge:
     """A deposit acceptance (explicit or synthesized default) ready for routing."""
 
@@ -277,7 +277,7 @@ class ObligationGraph:
         return sum(e.amount for e in self.edges.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetPosition:
     agent: AgentId
     payables: int
@@ -466,7 +466,7 @@ def compute_nid(g: ObligationGraph) -> int:
 # --- flow network ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObArc:
     tail: int
     head: int
@@ -475,21 +475,21 @@ class ObArc:
     creditor: AgentId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TenderArc:
     node: int  # sender index
     cap: int   # unit-of-account minor units
     edge: TenderEdge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcceptArc:
     node: int  # origin index
     cap: int | None  # None = unlimited
     edge: AcceptanceEdge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stage:
     """One currency circuit: processed separately, in ascending code order."""
 

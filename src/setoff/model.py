@@ -90,7 +90,7 @@ class TenderKind(str, Enum):
     OVERDRAFT = "overdraft"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obligation:
     """A debt edge: ``debtor`` owes ``creditor`` ``amount`` minor units of ``unit``."""
 
@@ -115,7 +115,7 @@ class Obligation:
         _require_date(self.due_date, "due_date")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Acceptance:
     """A creditor's standing offer to be paid in a given asset.
 
@@ -151,7 +151,7 @@ class Acceptance:
         _require_date(self.repayment_due, "repayment_due")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tender:
     """An offer to spend liquidity: assign an existing balance or draw a credit line.
 
@@ -184,7 +184,7 @@ class Tender:
 Intent = Obligation | Acceptance | Tender
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SettlementRecord:
     """One half of a discharged edge, addressed to one of its two endpoints.
 
@@ -207,7 +207,7 @@ class SettlementRecord:
             _require_id(self.currency_amount[1], "currency_amount asset")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfer:
     """A direct asset movement produced by pairing a tender with an acceptance."""
 
@@ -223,7 +223,7 @@ class Transfer:
         as_quantity(self.amount)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SettlementFlow:
     """A balanced set of settlement records plus the transfers that fund it."""
 
@@ -232,14 +232,14 @@ class SettlementFlow:
     transfers: tuple[Transfer, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoticeEntry:
     obligation_id: str
     discharged: int
     remaining: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetOffNotice:
     """Per-party statement of which obligations were reduced and what remains."""
 

@@ -21,7 +21,20 @@ from setoff import (
     compute_nid,
     net_positions,
 )
-from setoff.graph import dump_graph, floor_div_price, floor_mul_price
+from setoff.graph import (
+    AcceptArc,
+    AcceptanceEdge,
+    AggregatedEdge,
+    NetPosition,
+    ObArc,
+    Stage,
+    TenderArc,
+    TenderEdge,
+    dump_graph,
+    floor_div_price,
+    floor_mul_price,
+)
+from setoff.model import NoticeEntry, SetOffNotice, SettlementFlow, SettlementRecord, Transfer
 
 from support import (
     HUB,
@@ -524,3 +537,32 @@ def test_dump_graph_frozen_text() -> None:
         "accept accept:default:B B hub UOA inf\n"
         "accept accept:default:C C hub UOA inf\n"
     )
+
+
+def test_records_hold_no_per_object_dict() -> None:
+    """Frozen records use slots: a graph keeps thousands of them."""
+    tender_edge = TenderEdge("t1", "A", "hub", UNIT, TenderKind.ASSIGNMENT, 5, 5, None)
+    accept_edge = AcceptanceEdge("a1", "B", "hub", UNIT, None)
+    tender_arc = TenderArc(0, 5, tender_edge)
+    accept_arc = AcceptArc(1, None, accept_edge)
+    records = [
+        Obligation("o1", "A", "B", 5, UNIT),
+        Acceptance("a1", "B", "hub", AcceptanceKind.DEPOSIT, UNIT),
+        Tender("t1", "A", "hub", TenderKind.ASSIGNMENT, 5),
+        SettlementRecord("o1", "A", 5),
+        Transfer("A", "B", UNIT, 5),
+        SettlementFlow(0),
+        NoticeEntry("o1", 5, 0),
+        SetOffNotice("A", 0),
+        AggregatedEdge("A", "B", 5, ("o1",)),
+        tender_edge,
+        accept_edge,
+        NetPosition("A", 5, 0),
+        ObArc(0, 1, 5, "A", "B"),
+        tender_arc,
+        accept_arc,
+        Stage(UNIT, (tender_arc,), (accept_arc,)),
+    ]
+    assert len({type(r) for r in records}) == 16
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__

@@ -6,6 +6,8 @@ import pytest
 
 from setoff import _mincost, kernel
 from setoff._mincost import solve as python_solve
+from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
+from setoff.graph import build_network, compute_nid
 
 
 def random_instance(seed: int):
@@ -118,3 +120,63 @@ def test_residual_refuses_other_obligation_arcs() -> None:
     other = [(tail, head, cap + 1) for tail, head, cap in arcs]
     with pytest.raises(ValueError, match="other obligation arcs"):
         kernel.solve_min_cost(n, other, *variants[0], residual=residual)
+
+
+# --- phase 2 work ------------------------------------------------------------------
+
+
+def phase2_passes(monkeypatch, n, obligations, stages, budget) -> list[tuple[int, int, int]]:
+    """Phase 2's shortest-path passes against the cost levels they found.
+
+    Returns ``(passes, distinct negative true path costs, stages)`` per group
+    of stages. Passes are told apart by arc count, so a stage that adds no
+    arcs shares its group with the stage before it.
+    """
+    residual = kernel.Residual()
+    python_solve(n, obligations, stages, budget, residual)
+    stages_at: dict[int, int] = {}
+    arcs = len(residual.to)
+    for tenders, accepts in stages:
+        arcs += 2 * (len(tenders) + len(accepts))
+        stages_at[arcs] = stages_at.get(arcs, 0) + 1
+    passes = dict.fromkeys(stages_at, 0)
+    costs: dict[int, set[int]] = {arcs: set() for arcs in stages_at}
+    dijkstra = _mincost._dijkstra
+
+    def counting(src, snk, to, res, cost, adj, pi, dist, pred):
+        found = dijkstra(src, snk, to, res, cost, adj, pi, dist, pred)
+        passes[len(to)] += 1
+        true_cost = dist[snk] - pi[src] + pi[snk]
+        if found and true_cost < 0:
+            costs[len(to)].add(true_cost)
+        return found
+
+    monkeypatch.setattr(_mincost, "_dijkstra", counting)
+    python_solve(n, obligations, stages, budget, residual)  # phase 2 only
+    monkeypatch.undo()
+    return [(passes[a], len(costs[a]), stages_at[a]) for a in stages_at]
+
+
+def test_phase2_makes_one_pass_per_cost_level(monkeypatch) -> None:
+    g = attach_default_liquidity(
+        generate(SyntheticGraphConfig(nodes=250, edges=1000, seed=100, amount_dist="lognormal"))
+    )
+    nid = compute_nid(g)
+    for budget in (None, nid // 2):
+        net = build_network(g, budget=budget)
+        inst = (
+            len(net.nodes),
+            [(a.tail, a.head, a.cap) for a in net.ob_arcs],
+            [
+                ([(a.node, a.cap) for a in s.tender_arcs], [(a.node, a.cap) for a in s.accept_arcs])
+                for s in net.stages
+            ],
+            budget,
+        )
+        [(passes, levels, _)] = phase2_passes(monkeypatch, *inst)
+        assert levels > 1 and passes <= levels + 1, (budget, passes, levels)
+    for seed in range(150):
+        obligations, variants = staged_variants(seed)
+        for variant in variants:
+            for passes, levels, stages in phase2_passes(monkeypatch, *obligations, *variant):
+                assert passes <= levels + stages, (seed, passes, levels)
