@@ -8,7 +8,7 @@ Store layout::
       state.json             current epoch number and phase (open | frozen)
       ledger.json            balances and open obligations
       epochs/00000/
-        pool.jsonl           submitted intents, one per line, append only
+        pool.jsonl           submitted intents and cancels, one per line, append only
         flow.json            solved settlement flow
         report.json          epoch outcome
         applied.json         commit log, written before any state changes
@@ -19,13 +19,15 @@ newline) or deterministic CSV, so replaying the same intents with the same
 seed reproduces every file byte for byte.
 
 ``keys.jsonl`` and ``pool.jsonl`` are logs: one JSON object per line, only
-ever appended to (a cancel rewrites the pool whole). The last key line of an
-agent wins, so a rotation is one more line. A final line without its newline
-is an append that never returned: readers skip it, and the engine truncates
-it away before its next append to that log. A complete line that does not
-parse as a JSON object, or a pool line that is not an intent, is a
-``StateError`` naming the file and line. A store that keeps its keys in
-the older ``keys.json`` is refused.
+ever appended to. The last key line of an agent wins, so a rotation is one
+more line. A cancel is one tombstone line, ``{"cancel":"<id>"}``, which
+withdraws the intent pooled above it under that id. A final line without its
+newline is an append that never returned: readers skip it, and the engine
+truncates it away before its next append to that log. A complete line that
+does not parse as a JSON object, a pool line that is neither an intent nor a
+tombstone, or a tombstone for an id not pooled above it, is a ``StateError``
+naming the file and line. A store that keeps its keys in the older
+``keys.json`` is refused.
 
 ``init`` writes ``config.json`` last, so a path where ``init`` failed does
 not open as a store, and a second ``init`` there completes it.
@@ -265,6 +267,12 @@ class ClearingEngine:
         pool = _config_pool(self.config, self.registry)
         path = self._pool_path(epoch)
         for n, obj in _read_log(path):
+            if obj.keys() == {"cancel"}:  # a tombstone
+                target = obj["cancel"]
+                if not isinstance(target, str) or pool.get(target) is None:
+                    raise StateError(f"{path}:{n}: cancels {target!r}, which is not pooled")
+                pool.remove(target)
+                continue
             system = bool(obj.pop("system", False))
             try:
                 intent = intent_from_obj(obj)
@@ -330,17 +338,15 @@ class ClearingEngine:
         _append_log(self._pool_file(epoch), canonical_dumps(obj))
 
     def cancel_intent(self, intent_id: str) -> bool:
-        """Withdraw a pooled intent; only allowed while the epoch is open."""
+        """Withdraw a pooled intent by appending a tombstone; only while the epoch is open."""
         if self.phase != PHASE_OPEN:
             raise StateError(f"epoch {self.epoch} is frozen; cancellation closed")
         _refuse_reserved(intent_id)
-        pool = self._pool(self.epoch)  # every line is an intent, or a StateError
+        pool = self._pool(self.epoch)  # every line is an intent or a tombstone, or a StateError
         if pool.get(intent_id) is None:
             return False
-        path = self._pool_path(self.epoch)
-        kept = [obj for _, obj in _read_log(path) if obj["id"] != intent_id]
-        _write_atomic(path, "".join(map(canonical_dumps, kept)))
-        pool.remove(intent_id)
+        self._append_pool_line(self.epoch, {"cancel": intent_id})
+        pool.remove(intent_id)  # after the write, so a failed write leaves memory as the disk
         return True
 
     # --- epoch lifecycle -----------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .errors import GraphBuildError
 from .model import (
@@ -21,7 +21,6 @@ from .model import (
     AgentId,
     Intent,
     KeyRegistry,
-    Ledger,
     MAX_AMOUNT,
     Obligation,
     Tender,
@@ -558,33 +557,21 @@ def accept_cap(
 def build_network(
     g: ObligationGraph,
     budget: int | None = None,
-    ledger: Ledger | None = None,
     seed: int | None = None,
-    *,
-    clamp_payers: Collection[AgentId] = (),
 ) -> FlowNetwork:
     """Lower an obligation graph to the solver's flow network.
 
     Obligation arcs carry the aggregated amounts at unit cost -1; liquidity
     arcs carry converted unit-of-account capacities at cost 0, grouped into
-    per-currency stages. The tenders of each payer named in ``clamp_payers``
-    are clamped to its balance in ``ledger``, so the eventual transfers
-    cannot overdraw it: assignments debit the sender's balance, overdrafts
-    the facility's, and tenders debiting the same balance split it in
-    tender-id order rather than each seeing the full amount. Each tender
-    draws the least currency amount whose converted value covers its cap,
-    not its whole ``max_amount``. Issuers are exempt; they may issue. Every
-    other tender keeps its declared capacity. The clamp is conservative: a
-    draw that exits at its own facility nets to nothing and needs no
-    balance, but that is only known after routing.
+    per-currency stages. Every tender arc carries its declared cap; the
+    solver's clamp rounds re-cap tenders against a ledger on this network
+    (``solver.clamp_network``).
 
     ``seed`` deterministically permutes arc order, selecting among equally
     optimal solutions; without it, order is lexicographic.
     """
     if budget is not None:
         as_quantity(budget)
-    if clamp_payers and ledger is None:
-        raise ValueError("clamping payers needs a ledger")
     rng = random.Random(seed) if seed is not None else None
 
     firm_nodes: set[AgentId] = set()
@@ -609,29 +596,9 @@ def build_network(
         rng.shuffle(ob_arcs)
 
     by_currency: dict[str, tuple[list[TenderArc], list[AcceptArc]]] = {}
-    allocated: dict[tuple[AgentId, str], int] = {}
-
-    def draw_balance(payer: AgentId, currency: str, want: int) -> int:
-        pot = max(0, ledger.balance(payer, currency))
-        used = allocated.get((payer, currency), 0)
-        take = min(want, pot - used)
-        if take <= 0:
-            return 0
-        allocated[(payer, currency)] = used + take
-        return take
-
     for te in g.tender_edges:
-        cap = te.cap
-        payer = te.payer
-        if payer in clamp_payers and payer != te.issuer:
-            # The least currency amount whose converted value covers cap.
-            want = floor_div_price(cap, te.price)
-            if floor_mul_price(want, te.price) < cap:
-                want += 1
-            taken = draw_balance(payer, te.currency, want)
-            cap = min(cap, floor_mul_price(taken, te.price))
         by_currency.setdefault(te.currency, ([], []))[0].append(
-            TenderArc(node=node_index[te.sender], cap=cap, edge=te)
+            TenderArc(node=node_index[te.sender], cap=te.cap, edge=te)
         )
 
     min_prices = stage_min_prices(g.tender_edges)

@@ -11,13 +11,16 @@ settlement flow with paired records and direct transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Collection
+
 from . import kernel
 from .graph import (
     FlowNetwork,
     ObligationGraph,
     build_network,
     floor_div_price,
+    floor_mul_price,
 )
 from .model import AgentId, Ledger, SettlementFlow, SettlementRecord, Transfer
 from .validate import balance_violations
@@ -212,6 +215,49 @@ def solve_network(
     return flow, solution
 
 
+def clamp_network(
+    net: FlowNetwork, ledger: Ledger, payers: Collection[AgentId]
+) -> FlowNetwork:
+    """``net`` with the tenders of ``payers`` capped by their balances in ``ledger``.
+
+    Assignments debit the sender's balance, overdrafts the facility's. Each
+    payer and currency has one balance pot, which its tenders split in
+    tender-id order rather than each seeing the whole. Each tender draws the
+    least currency amount whose converted value covers its declared cap,
+    not its whole ``max_amount``. Issuers are exempt; they may issue. Every
+    other arc, and the arc order, stays as in ``net``.
+
+    The clamp is conservative: a draw that exits at its own facility nets to
+    nothing and needs no balance, but that is only known after routing.
+    """
+    drawn: dict[tuple[AgentId, str], int] = {}
+    caps: dict[str, int] = {}
+    for te in net.graph.tender_edges:
+        payer = te.payer
+        if payer not in payers or payer == te.issuer:
+            continue
+        # The least currency amount whose converted value covers the cap.
+        want = floor_div_price(te.cap, te.price)
+        if floor_mul_price(want, te.price) < te.cap:
+            want += 1
+        pot = (payer, te.currency)
+        used = drawn.get(pot, 0)
+        taken = min(want, max(0, ledger.balance(payer, te.currency)) - used)
+        drawn[pot] = used + taken
+        caps[te.tender_id] = min(te.cap, floor_mul_price(taken, te.price))
+    stages = tuple(
+        replace(
+            stage,
+            tender_arcs=tuple(
+                replace(a, cap=caps.get(a.edge.tender_id, a.edge.cap))
+                for a in stage.tender_arcs
+            ),
+        )
+        for stage in net.stages
+    )
+    return replace(net, stages=stages)
+
+
 def solve_settleable(
     g: ObligationGraph,
     budget: int | None,
@@ -222,14 +268,15 @@ def solve_settleable(
 ) -> tuple[SettlementFlow, FlowSolution]:
     """Solve so the result can be applied to ``ledger`` as-is.
 
-    The first round runs on declared capacities alone: transfers net out
-    wherever a draw exits at its own payer, so balances often do not bind
-    (a credit line can clear a cycle through the lender with no assets at
-    all). If that flow would overdraw someone, the overdrawn payers join the
-    clamp set, their tenders are clamped to their balances, and the solve
-    repeats; tenders that turned out to need no assets keep their declared
-    capacity. Rounds ask only the balance check; ``apply_flow`` runs all five
-    on the flow that is settled.
+    The graph is lowered once. The first round runs on declared capacities
+    alone: transfers net out wherever a draw exits at its own payer, so
+    balances often do not bind (a credit line can clear a cycle through the
+    lender with no assets at all). If that flow would overdraw someone, the
+    overdrawn payers join the clamp set, ``clamp_network`` re-caps their
+    tenders on the lowered network, starting from the declared caps, and
+    the solve repeats; tenders that turned out to need no assets keep their
+    declared capacity. Rounds ask only the balance check; ``apply_flow``
+    runs all five on the flow that is settled.
 
     The rounds end when the balance check names no payer outside the clamp
     set, and that round's flow is returned. On a ledger where every
@@ -240,19 +287,20 @@ def solve_settleable(
     a ledger that already overdraws a non-issuer, the returned flow still
     overdraws it, and ``apply_flow`` refuses it.
 
-    A round changes only tender capacities: nodes, obligation arcs and their
-    seeded order are the same every time. So kernel phase 1 runs once, and
-    every round starts phase 2 from its residual.
+    A round changes only tender capacities: nodes, obligation arcs and the
+    seeded arc order are the same every time. So kernel phase 1 runs once,
+    and every round starts phase 2 from its residual.
     """
+    net = declared = build_network(g, budget=budget, seed=seed)
     residual = kernel.Residual()
     clamped: frozenset[AgentId] = frozenset()
     while True:
-        net = build_network(g, budget=budget, ledger=ledger, seed=seed, clamp_payers=clamped)
         flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
         offenders = {v.ids[0] for v in balance_violations(g.pool, flow, ledger)}
         if offenders <= clamped:
             return flow, solution
         clamped = clamped | offenders
+        net = clamp_network(declared, ledger, clamped)
 
 
 def solve(

@@ -278,3 +278,16 @@ def counting_verify(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(graph_module, "verify_ascertainment", verify)
     return checked
+
+
+def counting_calls(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that logs each call's (args, kwargs)."""
+    calls: list = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

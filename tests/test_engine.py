@@ -30,7 +30,14 @@ from setoff.cli import main as cli_main
 from setoff.model import MAX_AMOUNT, intent_to_obj
 from setoff.settle import NEW_OBLIGATION_PREFIX
 
-from support import HUB, UNIT, counting_verify, key_of, overdraft_past_the_bound_pool
+from support import (
+    HUB,
+    UNIT,
+    counting_calls,
+    counting_verify,
+    key_of,
+    overdraft_past_the_bound_pool,
+)
 
 AGENTS = ("A", "B", "C", "alice", "bob", "carol", HUB)
 
@@ -316,10 +323,73 @@ def test_cancel_intent(tmp_path: Path) -> None:
     submit_signed(engine, ob)
     assert engine.cancel_intent("o") is True
     assert engine.cancel_intent("o") is False
-    assert engine._pool_path(0).read_text() == ""
+    lines = engine._pool_path(0).read_text().splitlines()
+    assert [json.loads(line).get("id") for line in lines] == ["o", None]
+    assert lines[1] == '{"cancel":"o"}'
+    assert pool_contents(ClearingEngine(tmp_path / "s")._pool(0)) == ({}, {}, {}, set())
     engine.freeze()
     with pytest.raises(StateError, match="cancellation closed"):
         engine.cancel_intent("whatever")
+
+
+def test_a_cancel_appends_one_line_and_reads_no_log(tmp_path: Path, monkeypatch) -> None:
+    engine = make_engine(tmp_path / "s")
+    for i in range(20):
+        submit_signed(engine, Obligation(id=f"o{i}", debtor="A", creditor="B",
+                                         amount=i + 1, unit=UNIT))
+    reads = counting_calls(monkeypatch, engine_module, "_read_log")
+    replaced = counting_calls(monkeypatch, engine_module.os, "replace")
+    pool_path = engine._pool_path(0)
+    before = pool_path.read_bytes()
+    for i in range(5):
+        assert engine.cancel_intent(f"o{i}")
+    assert reads == [] and replaced == []
+    assert pool_path.read_bytes() == before + b"".join(
+        b'{"cancel":"o%d"}\n' % i for i in range(5)
+    )
+    assert engine.nid()["total_debt"] == sum(range(6, 21))
+    assert_memory_matches_disk(engine)
+
+
+def test_a_cancelled_resubmitted_and_reopened_id_loads_once(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    ob = Obligation(id="o", debtor="A", creditor="B", amount=5, unit=UNIT)
+    for _ in range(2):
+        submit_signed(engine, ob)
+        assert engine.cancel_intent("o")
+    assert submit_signed(engine, ob) == 0
+    reopened = ClearingEngine(tmp_path / "s")
+    assert list(reopened._pool(0).obligations) == ["o"]
+    assert reopened.nid() == engine.nid() == {"epoch": 0, "nid": 5, "total_debt": 5}
+    reopened.freeze()
+    assert reopened.run()["total_debt"] == 5
+
+
+def test_a_torn_tombstone_is_no_cancel_and_a_retried_cancel_mends_it(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    pool_path = engine._pool_path(0)
+    whole = pool_path.read_bytes()
+    with open(pool_path, "ab") as fh:
+        fh.write(b'{"cancel":"ob')  # a cancel whose append never returned
+    reopened = ClearingEngine(tmp_path / "s")
+    assert reopened._pool(0).get("ob0") is not None
+    assert reopened.cancel_intent("ob0")
+    assert pool_path.read_bytes() == whole + b'{"cancel":"ob0"}\n'
+    assert ClearingEngine(tmp_path / "s").nid()["total_debt"] == 0
+
+
+@pytest.mark.parametrize("tombstone", ['{"cancel":"nobody"}', '{"cancel":7}'])
+def test_a_tombstone_for_an_id_not_pooled_above_it_names_file_and_line(
+    tmp_path: Path, tombstone: str
+) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    pool_path = engine._pool_path(0)
+    line = pool_path.read_text()
+    pool_path.write_text(tombstone + "\n" + line)  # nothing is pooled above it
+    with pytest.raises(StateError, match="pool.jsonl:1: cancels .*, which is not pooled"):
+        ClearingEngine(tmp_path / "s").nid()
 
 
 def test_submit_file_reports_line_numbers(tmp_path: Path) -> None:
@@ -660,6 +730,96 @@ def test_two_store_replay_is_byte_identical(tmp_path: Path) -> None:
         engine.run(budget=0, seed=42)
         outputs.append(store_bytes(tmp_path / name))
     assert outputs[0] == outputs[1]
+
+
+class Crash(Exception):
+    """The process dies inside a store write."""
+
+
+def patch_store_writes(
+    monkeypatch, store: Path, crash_at: int | None = None, whole: bool = False
+) -> list[str]:
+    """Log every ``_append_log`` and ``_write_atomic`` call; the ``crash_at``-th one crashes.
+
+    A crashed append leaves a torn tail: half the line, or (``whole``) all of
+    it but its newline. A crashed atomic write leaves its ``.tmp`` written,
+    half or whole, and not renamed.
+    """
+    calls: list[str] = []
+    real_append, real_write = engine_module._append_log, engine_module._write_atomic
+
+    def append(path: Path, line: str) -> None:
+        calls.append(f"append {path.relative_to(store).as_posix()}")
+        if len(calls) == crash_at:
+            real_append(path, line[:-1] if whole else line[: len(line) // 2])
+            raise Crash(calls[-1])
+        real_append(path, line)
+
+    def write(path: Path, data: str) -> None:
+        calls.append(f"write {path.relative_to(store).as_posix()}")
+        if len(calls) == crash_at:
+            path.with_name(path.name + ".tmp").write_text(data if whole else data[: len(data) // 2])
+            raise Crash(calls[-1])
+        real_write(path, data)
+
+    monkeypatch.setattr(engine_module, "_append_log", append)
+    monkeypatch.setattr(engine_module, "_write_atomic", write)
+    return calls
+
+
+def two_epoch_life() -> list:
+    """Register keys, submit, cancel, freeze, submit late, run with an overdraft, run again."""
+
+    def submit(intent):
+        return lambda engine: submit_signed(engine, intent)
+
+    steps = [lambda engine, a=a: engine.register_key(a, key_of(a).hex()) for a in AGENTS]
+    steps += [submit(i) for i in cycle_intents() + loan_intents()]
+    steps += [
+        submit(Obligation(id="ob:gone", debtor="A", creditor="C", amount=4, unit=UNIT)),
+        lambda engine: engine.cancel_intent("ob:gone"),
+        lambda engine: engine.freeze(),
+        submit(Obligation(id="ob:late", debtor="A", creditor="C", amount=5, unit=UNIT)),
+        lambda engine: engine.run(budget=20, seed=3),
+        lambda engine: engine.freeze(),
+        lambda engine: engine.run(seed=3),
+    ]
+    return steps
+
+
+def live_two_epochs(store: Path, monkeypatch, crash_at: int | None = None,
+                    whole: bool = False) -> list[str]:
+    """Live the two-epoch life; a crashed call is retried once on a reopened engine."""
+    engine = ClearingEngine.init(store, unit=UNIT, default_source=HUB,
+                                 opening_balances={"B": {UNIT: 10}, "C": {UNIT: 15}})
+    calls = patch_store_writes(monkeypatch, store, crash_at, whole)
+    for step in two_epoch_life():
+        try:
+            step(engine)
+        except Crash:
+            engine = ClearingEngine(store)
+            step(engine)
+    return calls
+
+
+def test_a_crash_at_any_store_write_then_a_retry_gives_the_uncrashed_bytes(
+    tmp_path: Path, monkeypatch
+) -> None:
+    with monkeypatch.context() as m:
+        points = live_two_epochs(tmp_path / "twin", m)
+    twin = store_bytes(tmp_path / "twin")
+    reports = [json.loads(twin[f"epochs/0000{e}/report.json"]) for e in (0, 1)]
+    assert reports[0]["new_obligations"] and reports[1]["status"] == "applied"
+    assert twin["epochs/00000/pool.jsonl"].endswith(b'{"cancel":"ob:gone"}\n')
+    assert {"append keys.jsonl", "append epochs/00000/pool.jsonl",
+            "append epochs/00001/pool.jsonl", "write epochs/00000/applied.json",
+            "write ledger.json", "write state.json"} <= set(points)
+    for at, point in enumerate(points, start=1):
+        for whole in (False, True):
+            store = tmp_path / f"{at}-{whole}"
+            with monkeypatch.context() as m:
+                assert live_two_epochs(store, m, at, whole)[at - 1] == point
+            assert store_bytes(store) == twin, (at, point, whole)
 
 
 # --- in-memory state -------------------------------------------------------------

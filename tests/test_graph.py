@@ -35,6 +35,7 @@ from setoff.graph import (
     floor_mul_price,
 )
 from setoff.model import NoticeEntry, SetOffNotice, SettlementFlow, SettlementRecord, Transfer
+from setoff.solver import clamp_network
 
 from support import (
     HUB,
@@ -408,7 +409,7 @@ def test_balance_clamp_shares_one_pot() -> None:
     ledger = funded_ledger(("a", UNIT, 35))
     caps = {
         a.edge.tender_id: a.cap
-        for stage in build_network(g, ledger=ledger, clamp_payers={"a"}).stages
+        for stage in clamp_network(build_network(g), ledger, {"a"}).stages
         for a in stage.tender_arcs
     }
     # t1 takes its fill first (tender-id order), t2 gets the remainder.
@@ -421,7 +422,7 @@ def test_balance_clamp_exempts_issuer() -> None:
     add_signed(pool, Tender(id="t", sender=HUB, source=HUB,
                             kind=TenderKind.ASSIGNMENT, max_amount=40))
     g = aggregate(pool)
-    net = build_network(g, ledger=funded_ledger(), clamp_payers={HUB})  # hub holds nothing
+    net = clamp_network(build_network(g), funded_ledger(), {HUB})  # hub holds nothing
     (stage,) = net.stages
     assert stage.tender_arcs[0].cap == 40
 
@@ -434,14 +435,18 @@ def test_balance_clamp_names_its_payers() -> None:
     g = aggregate(pool)
     ledger = funded_ledger(("a", UNIT, 5), ("b", UNIT, 5))
 
-    def caps(**kwargs) -> dict[str, int]:
-        (stage,) = build_network(g, **kwargs).stages
+    net = build_network(g)
+
+    def caps(net) -> dict[str, int]:
+        (stage,) = net.stages
         return {a.edge.tender_id: a.cap for a in stage.tender_arcs}
 
-    assert caps(ledger=ledger) == {"t:a": 30, "t:b": 30}  # nobody named, nobody clamped
-    assert caps(ledger=ledger, clamp_payers={"b"}) == {"t:a": 30, "t:b": 5}
-    with pytest.raises(ValueError, match="needs a ledger"):
-        build_network(g, clamp_payers={"b"})
+    assert caps(clamp_network(net, ledger, set())) == {"t:a": 30, "t:b": 30}  # nobody named
+    assert caps(clamp_network(net, ledger, {"b"})) == {"t:a": 30, "t:b": 5}
+    # A clamp starts from the declared caps, so a payer it does not name is uncapped.
+    clamped_a = clamp_network(net, ledger, {"a"})
+    assert caps(clamped_a) == {"t:a": 5, "t:b": 30}
+    assert caps(clamp_network(clamped_a, ledger, {"b"})) == {"t:a": 30, "t:b": 5}
 
 
 def test_overdraft_cap_uses_per_acceptance_floors() -> None:
@@ -466,7 +471,7 @@ def test_assignment_clamp_draws_only_the_covering_amount() -> None:
                                 kind=TenderKind.ASSIGNMENT, max_amount=5,
                                 price=Fraction(1, 2)))
     g = aggregate(pool)
-    net = build_network(g, ledger=funded_ledger(("a", "EURX", 8)), clamp_payers={"a"})
+    net = clamp_network(build_network(g), funded_ledger(("a", "EURX", 8)), {"a"})
     stage = next(s for s in net.stages if s.currency == "EURX")
     # Each cap is floor(5 * 1/2) = 2 UOA, which 4 EURX covers; 8 EURX fund both.
     assert {a.edge.tender_id: a.cap for a in stage.tender_arcs} == {"t1": 2, "t2": 2}
@@ -480,11 +485,11 @@ def test_overdraft_facility_clamp_rounds_want_up() -> None:
                             max_amount=10, price=Fraction(3, 4)))
     g = aggregate(pool)
     # Unclamped cap: floor(10 * 3/4) = 7 UOA, which needs ceil(7 / (3/4)) = 10 USDX.
-    net = build_network(g, ledger=funded_ledger(("b", "USDX", 10)), clamp_payers={"b"})
+    net = clamp_network(build_network(g), funded_ledger(("b", "USDX", 10)), {"b"})
     stage = next(s for s in net.stages if s.currency == "USDX")
     assert stage.tender_arcs[0].cap == 7
     # With only 9 USDX the cap drops to floor(9 * 3/4) = 6.
-    net = build_network(g, ledger=funded_ledger(("b", "USDX", 9)), clamp_payers={"b"})
+    net = clamp_network(build_network(g), funded_ledger(("b", "USDX", 9)), {"b"})
     stage = next(s for s in net.stages if s.currency == "USDX")
     assert stage.tender_arcs[0].cap == 6
 

@@ -30,6 +30,7 @@ from support import (
     UNIT,
     add_signed,
     chain_pool,
+    counting_calls,
     cycle_pool,
     funded_ledger,
     make_pool,
@@ -222,19 +223,6 @@ def partly_funded(seed: int):
     return g, ledger
 
 
-def counting(monkeypatch, owner, name: str) -> list:
-    """Replace ``owner.name`` by a wrapper that logs each call's keywords."""
-    calls: list = []
-    real = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def fresh_solves(monkeypatch):
     """Make every kernel call run phase 1 itself, ignoring a shared residual."""
     monkeypatch.setattr(kernel, "solve_min_cost", lambda *args, residual: _mincost.solve(*args))
@@ -242,13 +230,23 @@ def fresh_solves(monkeypatch):
 
 def test_solve_settleable_runs_kernel_phase_1_once(monkeypatch) -> None:
     g, ledger = partly_funded(1)
-    solves = counting(monkeypatch, kernel, "solve_min_cost")
-    phase1 = counting(monkeypatch, _mincost, "_cycles")
-    validations = counting(monkeypatch, validate, "is_valid_flow")
+    solves = counting_calls(monkeypatch, kernel, "solve_min_cost")
+    phase1 = counting_calls(monkeypatch, _mincost, "_cycles")
+    validations = counting_calls(monkeypatch, validate, "is_valid_flow")
     solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
     assert len(solves) == 4  # the first round and three clamp rounds
     assert len(phase1) == 1
     assert len(validations) == 0  # rounds ask the balance check alone
+
+
+def test_solve_settleable_lowers_the_graph_once(monkeypatch) -> None:
+    g, ledger = partly_funded(1)
+    builds = counting_calls(monkeypatch, solver, "build_network")
+    clamps = counting_calls(monkeypatch, solver, "clamp_network")
+    solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
+    assert len(builds) == 1
+    assert len(clamps) == 3  # each clamp round re-caps the one lowered network
+    assert len({id(args[0]) for args, _ in clamps}) == 1  # from the declared caps each time
 
 
 def test_a_payer_named_again_ends_the_rounds(monkeypatch) -> None:
@@ -258,11 +256,11 @@ def test_a_payer_named_again_ends_the_rounds(monkeypatch) -> None:
     payer = g.tender_edges[0].sender
     overdrawn = [Violation("NonNegativeBalance", (payer,), "overdrawn")]
     monkeypatch.setattr(solver, "balance_violations", lambda *args: overdrawn)
-    builds = counting(monkeypatch, solver, "build_network")
-    solves = counting(monkeypatch, kernel, "solve_min_cost")
-    phase1 = counting(monkeypatch, _mincost, "_cycles")
+    clamps = counting_calls(monkeypatch, solver, "clamp_network")
+    solves = counting_calls(monkeypatch, kernel, "solve_min_cost")
+    phase1 = counting_calls(monkeypatch, _mincost, "_cycles")
     shared = solve_settleable(g, None, ledger, seed=2)
-    assert [kw["clamp_payers"] for kw in builds] == [set(), {payer}]
+    assert [args[2] for args, _ in clamps] == [{payer}]
     assert len(solves) == 2 and len(phase1) == 1
     fresh_solves(monkeypatch)
     assert solve_settleable(g, None, ledger, seed=2) == shared
@@ -280,7 +278,7 @@ def test_no_clamp_round_names_a_clamped_payer(monkeypatch) -> None:
         return violations
 
     monkeypatch.setattr(solver, "balance_violations", balance_check)
-    builds = counting(monkeypatch, solver, "build_network")
+    clamps = counting_calls(monkeypatch, solver, "clamp_network")
     clamp_rounds = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -292,14 +290,16 @@ def test_no_clamp_round_names_a_clamped_payer(monkeypatch) -> None:
             for code in pool.currencies
         ))
         for budget in (None, compute_nid(g) // 2):
-            builds.clear()
+            clamps.clear()
             named.clear()
             flow, _ = solve_settleable(g, budget, ledger, seed=seed)
-            for kw, offenders in zip(builds, named):
-                assert not offenders & kw["clamp_payers"], (seed, budget)
+            clamped = [set()] + [args[2] for args, _ in clamps]  # per round
+            assert len(clamped) == len(named), (seed, budget)
+            for payers, offenders in zip(clamped, named):
+                assert not offenders & payers, (seed, budget)
             assert named[-1] == set(), (seed, budget)
             assert is_valid_flow(g, flow, ledger).ok, (seed, budget)
-            clamp_rounds += len(builds) - 1
+            clamp_rounds += len(clamps)
     assert clamp_rounds >= 50  # the clamp is exercised (89 rounds in 600 solves)
 
 
