@@ -8,30 +8,31 @@ those imbalances (Dijkstra with Johnson potentials; all residual costs are
 non-negative under the potential invariant) then returns exactly the flow that
 cannot ride a cycle. The result is the min-cost circulation on obligation arcs
 alone: the maximum debt dischargeable with zero liquidity, with every
-negative-cost residual cycle eliminated.
+negative-cost residual cycle eliminated. Phase 1 still augments one shortest
+path per pass. The phase 2 routine would make the ``simulate`` sweep about ten
+times faster, but the benchmark keeps every sweep pass's graph, so its peak
+memory would then break its bound; phase 1 follows once the benchmark stops
+that (ROADMAP item 1).
 
-Phase 2 (chain component): per currency stage, tender arcs S->sender and
-acceptance arcs origin->T are attached, and liquidity is pushed one cost
-level at a time (primal-dual; Ahuja, Magnanti & Orlin, *Network Flows*,
-ch. 9). One Dijkstra pass finds the shortest S->T path; while its true cost is
-negative (each unit of injected liquidity must discharge at least one unit of
-debt), its distances are folded into the potentials, and Dinic-style blocking
-flows are pushed over the zero-reduced-cost arcs until T is unreachable over
-them or the budget is spent. Every such path is a shortest path, so the flow
-stays min-cost for its value, and each pass finds a new, dearer level. Stage
-arcs are frozen before the next stage; obligation residuals are shared.
-Phase 1 still augments one shortest path per pass. The same routine there
-makes the ``simulate`` sweep about ten times faster, but the benchmark keeps
-every sweep pass's graph, so its peak memory would then break its bound; phase
-1 follows once the benchmark stops that (ROADMAP item 1).
-
-Phase 1 depends on the obligation arcs alone. Its output is a ``Residual``:
-the arc arrays, the potentials after phase 1 and the cycle flows. Phase 2
-starts from a copy of it and never writes to it, so one residual serves any
-number of solves over the same obligation arcs, whatever their tenders,
-acceptances and budget, and each gives the output of a fresh solve. Pass an
-empty ``Residual()`` to ``solve`` to share it: the first solve fills it, and
-a later solve over other obligation arcs raises ``ValueError``.
+Phase 2 (chain component), per currency stage. A tender is an arc into its
+node from the source S, or from a pot node P when it names one. A pot is an
+arc S->P whose cap bounds the new money its tenders draw. An acceptance is an
+arc from its node to the sink T, or, when it names a pot, to that pot's
+receipt node R, which feeds both T and, by a recycle arc R->P capped at the
+pot's tender caps, the pot itself. Recycle arcs close cycles that avoid S and
+T: a credit line clearing a cycle through its own lender. So each stage
+first runs a cycle pass, phase 1's saturate-and-rebalance on the stage's
+arcs: every recycle arc of negative reduced cost is saturated, and the
+excess it leaves is routed back at minimum cost. Then liquidity is pushed
+from S to T one cost level at a time (primal-dual; Ahuja, Magnanti & Orlin,
+*Network Flows*, ch. 9). One Dijkstra pass finds the shortest S->T path;
+while its true cost is negative (each unit of new money must discharge at
+least one unit of debt), its distances are folded into the potentials, and
+Dinic-style blocking flows are pushed over the zero-reduced-cost arcs until
+T is unreachable over them or the budget is spent. Every such path is a
+shortest path, so the flow stays min-cost for its value, and each pass finds
+a new, dearer level. Stage arcs are frozen before the next stage; obligation
+residuals are shared. The budget caps the flow out of S, that is new money.
 
 All quantities are integers, and None means unlimited. Ties break on node
 index, and arc order is the caller's, so identical inputs give identical
@@ -44,23 +45,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 INF = 1 << 62
-
-
-class Residual:
-    """Phase 1's residual graph over one set of obligation arcs.
-
-    Nodes ``n`` and ``n + 1`` are the source and the sink. Arc ``i`` runs to
-    ``to[i]`` with residual capacity ``res[i]`` and cost ``cost[i]``; arc
-    ``i ^ 1`` is its reverse, and ``adj[u]`` lists the arcs leaving ``u``.
-    ``pi`` are the potentials after phase 1, ``ob_arc[k]`` is obligation
-    ``k``'s arc and ``cycle_ob_flow[k]`` its cycle flow. ``obligations`` is
-    the ``(n, obligations)`` it was built from, None while empty.
-    """
-
-    __slots__ = ("obligations", "to", "res", "cost", "adj", "pi", "ob_arc", "cycle_ob_flow")
-
-    def __init__(self) -> None:
-        self.obligations: tuple | None = None
 
 
 def _add_arc(to, res, cost, adj, u: int, v: int, cap: int, c: int) -> int:
@@ -201,8 +185,21 @@ def _blocking_flows(src, snk, to, res, cost, adj, pi, limit: int) -> int:
     return pushed
 
 
-def _cycles(r: Residual, n: int, obligations: tuple[tuple[int, int, int], ...]) -> None:
-    """Phase 1: fill the empty residual ``r`` with the cycle component."""
+def _node(adj, pi, potential: int = 0) -> int:
+    """Append one node; returns its index."""
+    adj.append([])
+    pi.append(potential)
+    return len(pi) - 1
+
+
+def _cycles(n: int, obligations: list[tuple[int, int, int]]):
+    """Phase 1: the residual graph with the cycle component, and its potentials.
+
+    Returns ``(to, res, cost, adj, pi, ob_arc)``: arc ``i`` runs to ``to[i]``
+    with residual capacity ``res[i]`` and cost ``cost[i]``, arc ``i ^ 1`` is
+    its reverse, ``adj[u]`` lists the arcs leaving ``u``, and ``ob_arc[k]``
+    is obligation ``k``'s arc. Nodes ``n`` and ``n + 1`` are S and T.
+    """
     src = n
     snk = n + 1
     size = n + 2
@@ -240,77 +237,142 @@ def _cycles(r: Residual, n: int, obligations: tuple[tuple[int, int, int], ...]) 
     for i in aux:
         res[i] = 0
         res[i ^ 1] = 0
+    return to, res, cost, adj, pi, ob_arc
 
-    r.obligations = (n, obligations)
-    r.to, r.res, r.cost, r.adj, r.pi = to, res, cost, adj, pi
-    r.ob_arc = ob_arc
-    r.cycle_ob_flow = [res[i ^ 1] for i in ob_arc]
+
+def _recycle(to, res, cost, adj, pi, recycle: list[int]) -> None:
+    """The cycle pass: saturate each negative recycle arc, then rebalance.
+
+    Saturating an arc of negative reduced cost leaves its head an excess and
+    its tail a deficit, and every residual arc of non-negative reduced cost.
+    The excess is routed back at minimum cost from an auxiliary source to an
+    auxiliary sink, one cost level per shortest-path pass, until all of it
+    is moved. It always can be: each saturated arc's reverse leads back.
+    """
+    excess: dict[int, int] = {}
+    for i in recycle:
+        if res[i] > 0 and cost[i] + pi[to[i ^ 1]] - pi[to[i]] < 0:
+            amt = res[i]
+            res[i] = 0
+            res[i ^ 1] += amt
+            excess[to[i]] = excess.get(to[i], 0) + amt
+            excess[to[i ^ 1]] = excess.get(to[i ^ 1], 0) - amt
+    if not excess:
+        return
+    src = _node(adj, pi)
+    snk = _node(adj, pi)
+    aux = []
+    for v in sorted(excess):
+        if excess[v] > 0:
+            aux.append(_add_arc(to, res, cost, adj, src, v, excess[v], 0))
+        else:
+            aux.append(_add_arc(to, res, cost, adj, v, snk, -excess[v], 0))
+    pi[src] = max(pi[v] for v in excess if excess[v] > 0)
+    pi[snk] = min(pi[v] for v in excess if excess[v] < 0)
+    dist = [INF] * len(pi)
+    pred = [-1] * len(pi)
+    left = sum(amt for amt in excess.values() if amt > 0)
+    while left > 0 and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
+        _fold(pi, dist, dist[snk])
+        left -= _blocking_flows(src, snk, to, res, cost, adj, pi, left)
+    for i in aux:
+        res[i] = 0
+        res[i ^ 1] = 0
 
 
 def solve(
     n: int,
     obligations: list[tuple[int, int, int]],
-    stages: list[tuple[list[tuple[int, int]], list[tuple[int, int | None]]]],
+    stages: list[
+        tuple[
+            list[tuple[int, int, int | None]],
+            list[tuple[int, int | None, int | None]],
+            list[int | None],
+        ]
+    ],
     budget: int | None,
-    residual: Residual | None = None,
 ) -> tuple[list[int], list[int], list[list[int]], list[list[int]], list[int]]:
     """Run both phases and report flows.
 
     Args:
         n: number of graph nodes, indexed 0..n-1.
         obligations: ``(tail, head, cap)`` arcs, debtor -> creditor, cap > 0.
-        stages: one ``(tenders, accepts)`` per currency, in solve order. A
-            tender ``(node, cap)`` is an arc S->node; an acceptance
-            ``(node, cap)`` is an arc node->T whose cap None is unlimited.
-            Caps are unit-of-account integers.
-        budget: cap on total injected liquidity across stages; None is unlimited.
-        residual: phase 1 of these obligation arcs, shared between solves;
-            an empty one is filled here. None runs phase 1 for this call only.
+        stages: one ``(tenders, accepts, pots)`` per currency, in solve
+            order. ``pots[k]`` is the cap of pot k's arc S->P; None is
+            unlimited. A tender ``(node, cap, pot)`` is an arc S->node, or
+            P->node from pot ``pot``. An acceptance ``(node, cap, pot)`` is
+            an arc node->T, or node->R into pot ``pot``'s receipt node; its
+            cap None is unlimited. Caps are unit-of-account integers.
+        budget: cap on the total flow out of S across stages; None is unlimited.
 
     Returns:
         ``(cycle_ob_flow, final_ob_flow, tender_flow, accept_flow,
         stage_liquidity)``: one flow per obligation arc, one list of flows
         per stage for its tenders and its acceptances, and each stage's
-        injected liquidity.
+        flow out of S, its new money.
     """
-    obligations = tuple(obligations)
-    if residual is None:
-        residual = Residual()
-    if residual.obligations is None:
-        _cycles(residual, n, obligations)
-    elif residual.obligations != (n, obligations):
-        raise ValueError("the residual was built from other obligation arcs")
+    to, res, cost, adj, pi, ob_arc = _cycles(n, obligations)
+    cycle_ob_flow = [res[i ^ 1] for i in ob_arc]
 
     # Phase 2: inject liquidity along debt-clearing chains, one currency at a
     # time and one cost level per pass. A level is worth taking only while
     # its true cost is negative.
-    to = residual.to.copy()
-    res = residual.res.copy()
-    cost = residual.cost.copy()
-    adj = [arcs.copy() for arcs in residual.adj]
-    pi = residual.pi.copy()
     src = n
     snk = n + 1
-    dist = [INF] * (n + 2)
-    pred = [-1] * (n + 2)
-    # No augmenting path carries more than its first arc, a tender, so this
-    # never binds as a cap or budget.
+    # No flow exceeds the obligations and tenders together, so this never
+    # binds as a cap or budget.
     unlimited = sum(cap for _, _, cap in obligations) + sum(
-        cap for tenders, _ in stages for _, cap in tenders
+        cap for tenders, _, _ in stages for _, cap, _ in tenders
     )
     remaining = unlimited if budget is None else budget
     tender_flow: list[list[int]] = []
     accept_flow: list[list[int]] = []
     stage_liquidity: list[int] = []
-    for tenders, accepts in stages:
-        t_arcs = [_add_arc(to, res, cost, adj, src, v, cap, 0) for v, cap in tenders]
-        a_arcs = [
-            _add_arc(to, res, cost, adj, v, snk, unlimited if cap is None else cap, 0)
-            for v, cap in accepts
+    for tenders, accepts, pots in stages:
+        # A pot's potential is the max over its tender heads and a receipt's
+        # the min over its acceptance tails (potentials are never negative),
+        # so no new arc but a recycle arc starts with negative reduced cost.
+        pot_node = [_node(adj, pi) for _ in pots]
+        drawn = [0] * len(pots)
+        for v, cap, pot in tenders:
+            if pot is not None:
+                drawn[pot] += cap
+                pi[pot_node[pot]] = max(pi[pot_node[pot]], pi[v])
+        receipt: dict[int, int] = {}
+        for v, _, pot in accepts:
+            if pot is not None:
+                r = receipt.get(pot)
+                if r is None:
+                    r = receipt[pot] = _node(adj, pi, INF)
+                pi[r] = min(pi[r], pi[v])
+
+        stage_arcs = [
+            _add_arc(to, res, cost, adj, src, p, unlimited if cap is None else cap, 0)
+            for p, cap in zip(pot_node, pots)
         ]
+        t_arcs = [
+            _add_arc(to, res, cost, adj, src if pot is None else pot_node[pot], v, cap, 0)
+            for v, cap, pot in tenders
+        ]
+        a_arcs = [
+            _add_arc(
+                to, res, cost, adj, v, snk if pot is None else receipt[pot],
+                unlimited if cap is None else cap, 0,
+            )
+            for v, cap, pot in accepts
+        ]
+        recycle = []
+        for pot in sorted(receipt):
+            r = receipt[pot]
+            stage_arcs.append(_add_arc(to, res, cost, adj, r, snk, unlimited, 0))
+            recycle.append(_add_arc(to, res, cost, adj, r, pot_node[pot], drawn[pot], 0))
         if n > 0:
             pi[src] = max(pi[v] for v in range(n))
             pi[snk] = min(pi[v] for v in range(n))
+        _recycle(to, res, cost, adj, pi, recycle)
+
+        dist = [INF] * len(pi)
+        pred = [-1] * len(pi)
         liquidity = 0
         while remaining > 0 and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
             if dist[snk] - pi[src] + pi[snk] >= 0:
@@ -322,10 +384,9 @@ def solve(
         stage_liquidity.append(liquidity)
         tender_flow.append([res[i ^ 1] for i in t_arcs])
         accept_flow.append([res[i ^ 1] for i in a_arcs])
-        for i in t_arcs + a_arcs:
+        for i in stage_arcs + t_arcs + a_arcs + recycle:
             res[i] = 0
             res[i ^ 1] = 0
 
-    final_ob_flow = [res[i ^ 1] for i in residual.ob_arc]
-    cycle_ob_flow = residual.cycle_ob_flow.copy()
+    final_ob_flow = [res[i ^ 1] for i in ob_arc]
     return cycle_ob_flow, final_ob_flow, tender_flow, accept_flow, stage_liquidity

@@ -112,6 +112,38 @@ def _read_log(path: Path) -> list[tuple[int, dict]]:
     return objs
 
 
+def _read_json(path: Path, parse: Callable):
+    """``parse`` of one JSON store file.
+
+    A file that is missing, does not parse as JSON, or that ``parse``
+    refuses, is a ``StateError`` naming the file.
+    """
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, SetoffError) as exc:
+        raise StateError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_state(obj) -> tuple[int, str]:
+    epoch, phase = obj["epoch"], obj["phase"]
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+        raise ValueError(f"epoch {epoch!r} is not an epoch number")
+    if phase not in (PHASE_OPEN, PHASE_FROZEN):
+        raise ValueError(f"phase {phase!r} is neither {PHASE_OPEN} nor {PHASE_FROZEN}")
+    return epoch, phase
+
+
+def _parse_config(obj) -> dict:
+    _config_pool(obj)  # refuses a config missing a key, or one the pool refuses
+    return obj
+
+
+def _parse_wal(obj) -> dict:
+    if not {"epoch", "flow", "report", "status"} <= obj.keys():
+        raise ValueError("not a whole commit log")
+    return obj
+
+
 def _append_log(path: Path, line: str) -> None:
     """Append one newline-terminated line, first truncating a torn tail."""
     with open(path, "a+b") as fh:
@@ -159,7 +191,7 @@ class ClearingEngine:
         config_path = self.store / "config.json"
         if not config_path.exists():
             raise StateError(f"{self.store} is not an initialized store")
-        self.config = json.loads(config_path.read_text())
+        self.config = _read_json(config_path, _parse_config)
         keys_path = self.store / "keys.jsonl"
         if not keys_path.exists():
             raise StateError(
@@ -174,10 +206,8 @@ class ClearingEngine:
             self.registry.register(agent, _parse_key(agent, key_hex))
         self._pools: dict[int, EpochPool] = {}
         self._pool_files: dict[int, Path] = {}
-        state = json.loads((self.store / "state.json").read_text())
-        self.epoch: int = state["epoch"]
-        self.phase: str = state["phase"]
-        self.ledger = Ledger.from_obj(json.loads((self.store / "ledger.json").read_text()))
+        self.epoch, self.phase = _read_json(self.store / "state.json", _parse_state)
+        self.ledger = _read_json(self.store / "ledger.json", Ledger.from_obj)
 
     # --- store lifecycle ---------------------------------------------------
 
@@ -275,10 +305,9 @@ class ClearingEngine:
                 continue
             system = bool(obj.pop("system", False))
             try:
-                intent = intent_from_obj(obj)
-            except (AmountError, IntentError) as exc:
+                pool.add(intent_from_obj(obj), preverified=system)
+            except (AmountError, IntentError, GraphBuildError) as exc:
                 raise StateError(f"{path}:{n}: {exc}") from exc
-            pool.add(intent, preverified=system)
         return pool
 
     def _pool(self, epoch: int) -> EpochPool:
@@ -377,7 +406,7 @@ class ClearingEngine:
         """
         wal_path = self._epoch_dir(self.epoch) / "applied.json"
         if self.phase == PHASE_FROZEN and wal_path.exists():
-            return self._commit_from_wal(json.loads(wal_path.read_text()))
+            return self._commit_from_wal(_read_json(wal_path, _parse_wal))
         if self.phase != PHASE_FROZEN:
             raise StateError(f"epoch {self.epoch} is open; freeze it before running")
 

@@ -9,6 +9,7 @@ liquidity; validation and settlement re-derive edges through them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .model import (
     AgentId,
     Intent,
     KeyRegistry,
+    Ledger,
     MAX_AMOUNT,
     Obligation,
     Tender,
@@ -479,6 +481,7 @@ class TenderArc:
     node: int  # sender index
     cap: int   # unit-of-account minor units
     edge: TenderEdge
+    pot: int | None = None  # index into the stage's pots; None = drawn from S
 
 
 @dataclass(frozen=True, slots=True)
@@ -486,6 +489,22 @@ class AcceptArc:
     node: int  # origin index
     cap: int | None  # None = unlimited
     edge: AcceptanceEdge
+    pot: int | None = None  # the facility pot its receipts may feed; None = to T only
+
+
+@dataclass(frozen=True, slots=True)
+class Pot:
+    """A payer's new money in one stage: the arc S->pot its tenders draw through.
+
+    ``cap`` is the most unit-of-account flow the payer's balance funds, None
+    for unlimited. A facility's pot also takes back what its own acceptances
+    receive (``recycles``), so a credit line that clears a cycle through its
+    lender draws no new money.
+    """
+
+    payer: AgentId
+    cap: int | None
+    recycles: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -495,6 +514,7 @@ class Stage:
     currency: str
     tender_arcs: tuple[TenderArc, ...]
     accept_arcs: tuple[AcceptArc, ...]
+    pots: tuple[Pot, ...] = ()
 
 
 @dataclass
@@ -554,18 +574,50 @@ def accept_cap(
     return 0 if price is None else floor_mul_price(ae.limit, price)
 
 
+def stage_pots(
+    tender_edges: Iterable[TenderEdge], issuer: AgentId | None, ledger: Ledger | None
+) -> tuple[Pot, ...]:
+    """The pots of one stage's tenders, in payer order.
+
+    A payer's cap is the most unit-of-account flow whose floored currency
+    cost, at the lowest price p among its tenders, stays within its balance
+    b: floor(x / p) <= b exactly when x <= ceil((b + 1) * p) - 1, and a
+    negative balance funds nothing. Issuers, and every payer when there is
+    no ledger, are unlimited. A payer gets a pot only if its cap is below the sum of its
+    tenders' caps, or if it is a facility: some tender's sender is not its
+    payer. Every other tender draws straight from S.
+    """
+    by_payer: dict[AgentId, list[TenderEdge]] = {}
+    for te in tender_edges:
+        by_payer.setdefault(te.payer, []).append(te)
+    pots = []
+    for payer, edges in sorted(by_payer.items()):
+        cap = None
+        if ledger is not None and payer != issuer:
+            b = max(0, ledger.balance(payer, edges[0].currency))
+            prices = [te.price for te in edges if te.price is not None]
+            cap = math.ceil((b + 1) * min(prices)) - 1 if prices else b
+        facility = any(te.sender != payer for te in edges)
+        if facility or (cap is not None and cap < sum(te.cap for te in edges)):
+            pots.append(Pot(payer=payer, cap=cap, recycles=facility))
+    return tuple(pots)
+
+
 def build_network(
     g: ObligationGraph,
     budget: int | None = None,
     seed: int | None = None,
+    ledger: Ledger | None = None,
 ) -> FlowNetwork:
     """Lower an obligation graph to the solver's flow network.
 
     Obligation arcs carry the aggregated amounts at unit cost -1; liquidity
     arcs carry converted unit-of-account capacities at cost 0, grouped into
-    per-currency stages. Every tender arc carries its declared cap; the
-    solver's clamp rounds re-cap tenders against a ledger on this network
-    (``solver.clamp_network``).
+    per-currency stages. Every tender arc carries its declared cap. A payer
+    that ``ledger`` may leave short, and every credit-line facility, draws
+    through a pot (``stage_pots``), so any flow of the network overdraws
+    nobody, and a facility's acceptances may feed its own pot again. The
+    budget caps the flow out of S, that is new money.
 
     ``seed`` deterministically permutes arc order, selecting among equally
     optimal solutions; without it, order is lexicographic.
@@ -595,25 +647,32 @@ def build_network(
     if rng is not None:
         rng.shuffle(ob_arcs)
 
-    by_currency: dict[str, tuple[list[TenderArc], list[AcceptArc]]] = {}
+    by_currency: dict[str, tuple[list[TenderEdge], list[AcceptanceEdge]]] = {}
     for te in g.tender_edges:
-        by_currency.setdefault(te.currency, ([], []))[0].append(
-            TenderArc(node=node_index[te.sender], cap=te.cap, edge=te)
-        )
+        by_currency.setdefault(te.currency, ([], []))[0].append(te)
+    for ae in g.acceptance_edges:
+        by_currency.setdefault(ae.currency, ([], []))[1].append(ae)
 
     min_prices = stage_min_prices(g.tender_edges)
-    for ae in g.acceptance_edges:
-        by_currency.setdefault(ae.currency, ([], []))[1].append(
+    stages = []
+    for currency in sorted(by_currency):
+        tender_edges, accept_edges = by_currency[currency]
+        pots = stage_pots(tender_edges, g.pool.issuer_of(currency), ledger)
+        pot_of = {pot.payer: k for k, pot in enumerate(pots)}
+        tender_arcs = [
+            TenderArc(node=node_index[te.sender], cap=te.cap, edge=te, pot=pot_of.get(te.payer))
+            for te in tender_edges
+        ]
+        recycling = {pot.payer: k for k, pot in enumerate(pots) if pot.recycles}
+        accept_arcs = [
             AcceptArc(
                 node=node_index[ae.origin],
                 cap=accept_cap(ae, g.unit, min_prices),
                 edge=ae,
+                pot=recycling.get(ae.origin),
             )
-        )
-
-    stages = []
-    for currency in sorted(by_currency):
-        tender_arcs, accept_arcs = by_currency[currency]
+            for ae in accept_edges
+        ]
         if rng is not None:
             rng.shuffle(tender_arcs)
             rng.shuffle(accept_arcs)
@@ -622,6 +681,7 @@ def build_network(
                 currency=currency,
                 tender_arcs=tuple(tender_arcs),
                 accept_arcs=tuple(accept_arcs),
+                pots=pots,
             )
         )
 

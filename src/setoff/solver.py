@@ -6,24 +6,26 @@ injected along paths that clear at least as much debt as they spend.
 
 ``cancel_cycles`` computes the pure set-off component (no liquidity), and
 ``solve`` adds the budgeted chains on top of it and renders the result as a
-settlement flow with paired records and direct transfers.
+settlement flow with paired records and direct transfers. Given a ledger,
+``build_network`` bounds each payer's new money by its balance in the
+network itself, so one solve gives a flow that overdraws nobody.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Collection
+from dataclasses import dataclass
+from typing import Iterator
 
 from . import kernel
 from .graph import (
+    AcceptanceEdge,
     FlowNetwork,
     ObligationGraph,
+    TenderEdge,
     build_network,
     floor_div_price,
-    floor_mul_price,
 )
 from .model import AgentId, Ledger, SettlementFlow, SettlementRecord, Transfer
-from .validate import balance_violations
 
 
 @dataclass(frozen=True)
@@ -64,24 +66,41 @@ def cancel_cycles(net: FlowNetwork) -> FlowSolution:
     )
 
 
-def solve_network(
-    net: FlowNetwork, epoch_id: int = 0, *, residual: kernel.Residual | None = None
-) -> tuple[SettlementFlow, FlowSolution]:
+def _pair(
+    tenders: list[list], accepts: list[list]
+) -> Iterator[tuple[TenderEdge, AcceptanceEdge, int]]:
+    """Match ``[edge, flow]`` items in order until either list runs out.
+
+    Yields (tender edge, acceptance edge, amount) chunks, and takes each
+    chunk off both items' flows in place.
+    """
+    ti = ai = 0
+    while ti < len(tenders) and ai < len(accepts):
+        t, a = tenders[ti], accepts[ai]
+        chunk = min(t[1], a[1])
+        if chunk:
+            yield t[0], a[0], chunk
+            t[1] -= chunk
+            a[1] -= chunk
+        ti += t[1] == 0
+        ai += a[1] == 0
+
+
+def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, FlowSolution]:
     """Full solve on a prepared network; returns the flow and the solver view.
 
-    ``residual`` shares kernel phase 1 with other solves over the same
-    obligation arcs (see ``setoff._mincost``); it is filled on first use.
+    ``liquidity_used`` is the new money per currency: the flow out of S.
     """
     _, final_ob, tender_flow, accept_flow, stage_liquidity = kernel.solve_min_cost(
         len(net.nodes),
         [(a.tail, a.head, a.cap) for a in net.ob_arcs],
         [
-            ([(a.node, a.cap) for a in stage.tender_arcs],
-             [(a.node, a.cap) for a in stage.accept_arcs])
+            ([(a.node, a.cap, a.pot) for a in stage.tender_arcs],
+             [(a.node, a.cap, a.pot) for a in stage.accept_arcs],
+             [pot.cap for pot in stage.pots])
             for stage in net.stages
         ],
         net.budget,
-        residual=residual,
     )
     g = net.graph
     pool = g.pool
@@ -126,34 +145,36 @@ def solve_network(
             liquidity[stage.currency] = injected
         foreign = stage.currency != net.unit
 
-        # Pair tender inflows with acceptance outflows in order. Currency
-        # conversion is cumulative per tender so the floored dust is taken
-        # once, not per chunk.
+        # Each agent's own acceptances take its own tenders first; that moves
+        # no currency, and it is where a facility's recycled receipts go. The
+        # rest pair in id order. Conversion is cumulative per tender, and the
+        # part paid to others converts first, starting from zero, so a payer
+        # pays sum floor(n_i / p_i) over its tenders' flows n_i to others,
+        # which its pot keeps within its balance.
+        t_left = [[e, f] for e, f in tender_used]
+        a_left = [[e, f] for e, f in accept_used]
+        own_t: dict[AgentId, list[list]] = {}
+        own_a: dict[AgentId, list[list]] = {}
+        for item in t_left:
+            own_t.setdefault(item[0].payer, []).append(item)
+        for item in a_left:
+            own_a.setdefault(item[0].origin, []).append(item)
+        self_pairs = [
+            chunk
+            for agent in sorted(own_t.keys() & own_a.keys())
+            for chunk in _pair(own_t[agent], own_a[agent])
+        ]
         received: dict[str, int] = {}
-        ti = ai = 0
-        t_rem = a_rem = 0
-        t_cum = t_cum_converted = 0
-        while ti < len(tender_used):
-            if t_rem == 0:
-                t_edge, t_rem = tender_used[ti]
-                t_cum = t_cum_converted = 0
-                payer = t_edge.payer
-            if a_rem == 0:
-                a_edge, a_rem = accept_used[ai]
-            chunk = min(t_rem, a_rem)
-            t_cum += chunk
-            converted = floor_div_price(t_cum, t_edge.price) - t_cum_converted
-            t_cum_converted += converted
+        cum: dict[str, tuple[int, int]] = {}  # tender id -> (flow, converted) so far
+        for t_edge, a_edge, chunk in (*_pair(t_left, a_left), *self_pairs):
+            flow_so_far, converted_so_far = cum.get(t_edge.tender_id, (0, 0))
+            flow_so_far += chunk
+            converted = floor_div_price(flow_so_far, t_edge.price) - converted_so_far
+            cum[t_edge.tender_id] = (flow_so_far, converted_so_far + converted)
             received[a_edge.edge_id] = received.get(a_edge.edge_id, 0) + converted
-            if converted and payer != a_edge.origin:
-                key = (payer, a_edge.origin, stage.currency)
+            if converted and t_edge.payer != a_edge.origin:
+                key = (t_edge.payer, a_edge.origin, stage.currency)
                 transfers[key] = transfers.get(key, 0) + converted
-            t_rem -= chunk
-            a_rem -= chunk
-            if t_rem == 0:
-                ti += 1
-            if a_rem == 0:
-                ai += 1
 
         for t_edge, flow in tender_used:
             arc_flows[t_edge.tender_id] = flow
@@ -215,49 +236,6 @@ def solve_network(
     return flow, solution
 
 
-def clamp_network(
-    net: FlowNetwork, ledger: Ledger, payers: Collection[AgentId]
-) -> FlowNetwork:
-    """``net`` with the tenders of ``payers`` capped by their balances in ``ledger``.
-
-    Assignments debit the sender's balance, overdrafts the facility's. Each
-    payer and currency has one balance pot, which its tenders split in
-    tender-id order rather than each seeing the whole. Each tender draws the
-    least currency amount whose converted value covers its declared cap,
-    not its whole ``max_amount``. Issuers are exempt; they may issue. Every
-    other arc, and the arc order, stays as in ``net``.
-
-    The clamp is conservative: a draw that exits at its own facility nets to
-    nothing and needs no balance, but that is only known after routing.
-    """
-    drawn: dict[tuple[AgentId, str], int] = {}
-    caps: dict[str, int] = {}
-    for te in net.graph.tender_edges:
-        payer = te.payer
-        if payer not in payers or payer == te.issuer:
-            continue
-        # The least currency amount whose converted value covers the cap.
-        want = floor_div_price(te.cap, te.price)
-        if floor_mul_price(want, te.price) < te.cap:
-            want += 1
-        pot = (payer, te.currency)
-        used = drawn.get(pot, 0)
-        taken = min(want, max(0, ledger.balance(payer, te.currency)) - used)
-        drawn[pot] = used + taken
-        caps[te.tender_id] = min(te.cap, floor_mul_price(taken, te.price))
-    stages = tuple(
-        replace(
-            stage,
-            tender_arcs=tuple(
-                replace(a, cap=caps.get(a.edge.tender_id, a.edge.cap))
-                for a in stage.tender_arcs
-            ),
-        )
-        for stage in net.stages
-    )
-    return replace(net, stages=stages)
-
-
 def solve_settleable(
     g: ObligationGraph,
     budget: int | None,
@@ -268,39 +246,16 @@ def solve_settleable(
 ) -> tuple[SettlementFlow, FlowSolution]:
     """Solve so the result can be applied to ``ledger`` as-is.
 
-    The graph is lowered once. The first round runs on declared capacities
-    alone: transfers net out wherever a draw exits at its own payer, so
-    balances often do not bind (a credit line can clear a cycle through the
-    lender with no assets at all). If that flow would overdraw someone, the
-    overdrawn payers join the clamp set, ``clamp_network`` re-caps their
-    tenders on the lowered network, starting from the declared caps, and
-    the solve repeats; tenders that turned out to need no assets keep their
-    declared capacity. Rounds ask only the balance check; ``apply_flow``
-    runs all five on the flow that is settled.
-
-    The rounds end when the balance check names no payer outside the clamp
-    set, and that round's flow is returned. On a ledger where every
-    non-issuer balance is non-negative, no clamped payer is ever named: its
-    tenders draw their covering amounts from one balance pot, so its
-    transfers cannot overdraw it, and an agent that pays nothing only
-    receives. So each round adds a payer, and the last overdraws nobody. On
-    a ledger that already overdraws a non-issuer, the returned flow still
-    overdraws it, and ``apply_flow`` refuses it.
-
-    A round changes only tender capacities: nodes, obligation arcs and the
-    seeded arc order are the same every time. So kernel phase 1 runs once,
-    and every round starts phase 2 from its residual.
+    One lowering and one kernel call. ``build_network`` gives every payer
+    whose balance can bind a pot capped by that balance, and every
+    credit-line facility a pot its own receipts feed back, so no flow of
+    the network overdraws a payer and the kernel's optimum is the most debt
+    a settleable flow clears. A ledger that already overdraws a non-issuer
+    still overdraws it, and ``apply_flow``, which runs all five checks,
+    refuses that flow.
     """
-    net = declared = build_network(g, budget=budget, seed=seed)
-    residual = kernel.Residual()
-    clamped: frozenset[AgentId] = frozenset()
-    while True:
-        flow, solution = solve_network(net, epoch_id=epoch_id, residual=residual)
-        offenders = {v.ids[0] for v in balance_violations(g.pool, flow, ledger)}
-        if offenders <= clamped:
-            return flow, solution
-        clamped = clamped | offenders
-        net = clamp_network(declared, ledger, clamped)
+    net = build_network(g, budget=budget, seed=seed, ledger=ledger)
+    return solve_network(net, epoch_id=epoch_id)
 
 
 def solve(
@@ -316,9 +271,6 @@ def solve(
     When ``ledger`` is given, the output is settleable against it as-is.
     ``seed`` picks deterministically among equally optimal flows.
     """
-    if ledger is not None:
-        flow, _ = solve_settleable(g, budget, ledger, epoch_id=epoch_id, seed=seed)
-        return flow
-    net = build_network(g, budget=budget, seed=seed)
+    net = build_network(g, budget=budget, seed=seed, ledger=ledger)
     flow, _ = solve_network(net, epoch_id=epoch_id)
     return flow

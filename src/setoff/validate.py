@@ -14,8 +14,9 @@ through the resolvers aggregation uses, not read back from the aggregated
 graph, so a corrupted flow cannot smuggle amounts past the caps by targeting
 aggregation output.
 
-``settle.apply_flow`` runs all five checks on every flow it settles; the
-clamp rounds of ``solve_settleable`` ask check 5 alone (``balance_violations``).
+``settle.apply_flow`` runs all five checks on every flow it settles, once
+per epoch. The solver asks none of them: ``build_network`` bounds each
+payer's new money by its balance, so the flow it returns needs no retry.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fractions import Fraction
 
 from .graph import (
     DEFAULT_ACCEPT_PREFIX,
-    EpochPool,
     ObligationGraph,
     accept_cap,
     resolve_deposit,
@@ -284,18 +284,10 @@ def is_valid_flow(
     if violations:
         return _fail("PairedRecords", violations)
 
-    # 5. NonNegativeBalance
-    if ledger is not None:
-        violations = balance_violations(pool, f, ledger)
-        if violations:
-            return _fail("NonNegativeBalance", violations)
-
-    return _VALID
-
-
-def balance_violations(pool: EpochPool, f: SettlementFlow, ledger: Ledger) -> list[Violation]:
-    """Check 5: transfers are positive and overdraw nobody but the asset's issuer."""
-    violations: list[Violation] = []
+    # 5. NonNegativeBalance: transfers are positive and overdraw nobody but
+    # the asset's issuer.
+    if ledger is None:
+        return _VALID
     deltas: dict[tuple[AgentId, str], int] = {}
     for tr in f.transfers:
         if tr.amount <= 0:
@@ -309,4 +301,6 @@ def balance_violations(pool: EpochPool, f: SettlementFlow, ledger: Ledger) -> li
         if end < 0 and pool.issuer_of(asset) != agent:  # issuers may run negative
             detail = f"balance in {asset} would end at {end}"
             violations.append(Violation("NonNegativeBalance", (agent,), detail))
-    return violations
+    if violations:
+        return _fail("NonNegativeBalance", violations)
+    return _VALID

@@ -392,6 +392,15 @@ def test_a_tombstone_for_an_id_not_pooled_above_it_names_file_and_line(
         ClearingEngine(tmp_path / "s").nid()
 
 
+def test_a_duplicate_pool_line_names_file_and_line(tmp_path: Path) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    pool_path = engine._pool_path(0)
+    pool_path.write_text(pool_path.read_text() * 2)  # one intent line, twice
+    with pytest.raises(StateError, match="pool.jsonl:2: duplicate intent id ob0"):
+        ClearingEngine(tmp_path / "s").nid()
+
+
 def test_submit_file_reports_line_numbers(tmp_path: Path) -> None:
     engine = make_engine(tmp_path / "s")
     bad = tmp_path / "bad.jsonl"
@@ -622,7 +631,7 @@ def inflate_first_transfer(flow):
 
 
 @pytest.mark.parametrize("hook", [None, inflate_first_transfer])
-@pytest.mark.parametrize("b_funds, solves", [(10, 1), (5, 2)])  # 5: one clamp round
+@pytest.mark.parametrize("b_funds, solves", [(10, 1), (5, 1)])  # 5: B's balance binds
 def test_each_epoch_validates_its_flow_once(
     tmp_path: Path, monkeypatch, hook, b_funds: int, solves: int
 ) -> None:
@@ -1229,6 +1238,42 @@ def test_cli_errors_are_json_on_stderr(tmp_path: Path, capsys) -> None:
     assert json.loads(err)["error"] == "StateError"
     code, _, err = run_cli(capsys, "--store", store, "init")
     assert code == 1 and json.loads(err)["error"] == "StateError"
+
+
+@pytest.mark.parametrize(
+    ("name", "corrupt"),
+    [
+        ("state.json", lambda text: text[: len(text) // 2]),  # truncated
+        ("state.json", lambda text: '{"phase":"open"}\n'),  # no epoch
+        ("state.json", lambda text: '{"epoch":"0","phase":"open"}\n'),
+        ("ledger.json", lambda text: "garbage\n"),
+        ("ledger.json", lambda text: '{"balances":{"A":{"UOA":"7"}}}\n'),
+        ("config.json", lambda text: "[]\n"),
+        ("config.json", lambda text: '{"unit":"UOA"}\n'),
+    ],
+)
+def test_cli_names_a_corrupt_store_file(tmp_path: Path, capsys, name: str, corrupt) -> None:
+    store = tmp_path / "s"
+    assert run_cli(capsys, "--store", str(store), "init")[0] == 0
+    path = store / name
+    path.write_text(corrupt(path.read_text()))
+    code, out, err = run_cli(capsys, "--store", str(store), "nid")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{path}: ")
+
+
+def test_a_corrupt_commit_log_is_named_on_replay(tmp_path: Path, capsys) -> None:
+    engine = funded_cycle_engine(tmp_path / "s")
+    engine.freeze()
+    with pytest.raises(RuntimeError):
+        engine.run(_crash_after_wal=True)
+    wal_path = engine._epoch_dir(0) / "applied.json"
+    wal_path.write_text(wal_path.read_text()[:-20])
+    code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), "run")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["detail"].startswith(f"{wal_path}: JSONDecodeError")
 
 
 def test_cli_init_refuses_a_negative_fund_and_leaves_the_path_free(

@@ -27,6 +27,7 @@ from setoff.graph import (
     AggregatedEdge,
     NetPosition,
     ObArc,
+    Pot,
     Stage,
     TenderArc,
     TenderEdge,
@@ -35,7 +36,6 @@ from setoff.graph import (
     floor_mul_price,
 )
 from setoff.model import NoticeEntry, SetOffNotice, SettlementFlow, SettlementRecord, Transfer
-from setoff.solver import clamp_network
 
 from support import (
     HUB,
@@ -399,6 +399,12 @@ def test_aggregate_excludes_unpriced_foreign_tender() -> None:
     assert build_network(g).stages == ()
 
 
+def pots_of(net, currency: str = UNIT) -> tuple[tuple[Pot, ...], dict[str, int | None]]:
+    """A stage's pots, and the pot each of its tenders draws through."""
+    stage = next(s for s in net.stages if s.currency == currency)
+    return stage.pots, {a.edge.tender_id: a.pot for a in stage.tender_arcs}
+
+
 def test_balance_clamp_shares_one_pot() -> None:
     pool = make_pool("a", "b")
     add_signed(pool, Tender(id="t1", sender="a", source=HUB,
@@ -406,15 +412,10 @@ def test_balance_clamp_shares_one_pot() -> None:
     add_signed(pool, Tender(id="t2", sender="a", source=HUB,
                             kind=TenderKind.ASSIGNMENT, max_amount=30))
     g = aggregate(pool)
-    ledger = funded_ledger(("a", UNIT, 35))
-    caps = {
-        a.edge.tender_id: a.cap
-        for stage in clamp_network(build_network(g), ledger, {"a"}).stages
-        for a in stage.tender_arcs
-    }
-    # t1 takes its fill first (tender-id order), t2 gets the remainder.
-    assert caps == {"t1": 30, "t2": 5}
-    assert sum(caps.values()) == 35
+    net = build_network(g, ledger=funded_ledger(("a", UNIT, 35)))
+    # Both tenders keep their declared caps and draw from a's one pot.
+    assert pots_of(net) == ((Pot(payer="a", cap=35, recycles=False),), {"t1": 0, "t2": 0})
+    assert [a.cap for a in net.stages[0].tender_arcs] == [30, 30]
 
 
 def test_balance_clamp_exempts_issuer() -> None:
@@ -422,31 +423,26 @@ def test_balance_clamp_exempts_issuer() -> None:
     add_signed(pool, Tender(id="t", sender=HUB, source=HUB,
                             kind=TenderKind.ASSIGNMENT, max_amount=40))
     g = aggregate(pool)
-    net = clamp_network(build_network(g), funded_ledger(), {HUB})  # hub holds nothing
-    (stage,) = net.stages
-    assert stage.tender_arcs[0].cap == 40
+    net = build_network(g, ledger=funded_ledger())  # hub holds nothing
+    assert pots_of(net) == ((), {"t": None})
+    assert net.stages[0].tender_arcs[0].cap == 40
 
 
 def test_balance_clamp_names_its_payers() -> None:
-    pool = make_pool("a", "b")
-    for sender in ("a", "b"):
+    pool = make_pool("a", "b", "c")
+    for sender in ("a", "b", "c"):
         add_signed(pool, Tender(id=f"t:{sender}", sender=sender, source=HUB,
                                 kind=TenderKind.ASSIGNMENT, max_amount=30))
     g = aggregate(pool)
-    ledger = funded_ledger(("a", UNIT, 5), ("b", UNIT, 5))
-
-    net = build_network(g)
-
-    def caps(net) -> dict[str, int]:
-        (stage,) = net.stages
-        return {a.edge.tender_id: a.cap for a in stage.tender_arcs}
-
-    assert caps(clamp_network(net, ledger, set())) == {"t:a": 30, "t:b": 30}  # nobody named
-    assert caps(clamp_network(net, ledger, {"b"})) == {"t:a": 30, "t:b": 5}
-    # A clamp starts from the declared caps, so a payer it does not name is uncapped.
-    clamped_a = clamp_network(net, ledger, {"a"})
-    assert caps(clamped_a) == {"t:a": 5, "t:b": 30}
-    assert caps(clamp_network(clamped_a, ledger, {"b"})) == {"t:a": 30, "t:b": 5}
+    # Only a payer whose balance can bind gets a pot; c covers its tender.
+    ledger = funded_ledger(("a", UNIT, 5), ("b", UNIT, -5), ("c", UNIT, 30))
+    assert pots_of(build_network(g, ledger=ledger)) == (
+        (Pot(payer="a", cap=5, recycles=False), Pot(payer="b", cap=0, recycles=False)),
+        {"t:a": 0, "t:b": 1, "t:c": None},
+    )
+    # Without a ledger nobody binds: the network is the declared one.
+    assert build_network(g) == build_network(g, ledger=None)
+    assert pots_of(build_network(g)) == ((), {"t:a": None, "t:b": None, "t:c": None})
 
 
 def test_overdraft_cap_uses_per_acceptance_floors() -> None:
@@ -471,27 +467,39 @@ def test_assignment_clamp_draws_only_the_covering_amount() -> None:
                                 kind=TenderKind.ASSIGNMENT, max_amount=5,
                                 price=Fraction(1, 2)))
     g = aggregate(pool)
-    net = clamp_network(build_network(g), funded_ledger(("a", "EURX", 8)), {"a"})
-    stage = next(s for s in net.stages if s.currency == "EURX")
-    # Each cap is floor(5 * 1/2) = 2 UOA, which 4 EURX covers; 8 EURX fund both.
-    assert {a.edge.tender_id: a.cap for a in stage.tender_arcs} == {"t1": 2, "t2": 2}
+    # Each cap is floor(5 * 1/2) = 2 UOA. 8 EURX fund ceil(9 * 1/2) - 1 = 4
+    # UOA of flow, both caps, so a draws straight from S.
+    assert pots_of(build_network(g, ledger=funded_ledger(("a", "EURX", 8))), "EURX") == (
+        (), {"t1": None, "t2": None}
+    )
+    # 7 EURX fund 3 UOA: floor(3 / (1/2)) = 6 EURX, and 4 UOA would cost 8.
+    assert pots_of(build_network(g, ledger=funded_ledger(("a", "EURX", 7))), "EURX") == (
+        (Pot(payer="a", cap=3, recycles=False),), {"t1": 0, "t2": 0}
+    )
 
 
 def test_overdraft_facility_clamp_rounds_want_up() -> None:
     pool = make_pool("a", "b", currencies={UNIT: HUB, "USDX": "bankx"})
     add_signed(pool, Acceptance(id="acc", origin="b", target="a",
                                 kind=AcceptanceKind.REPAYMENT, currency="USDX", limit=10))
+    add_signed(pool, Acceptance(id="dep", origin="b", target="bankx",
+                                kind=AcceptanceKind.DEPOSIT, currency="USDX"))
     add_signed(pool, Tender(id="t", sender="a", source="b", kind=TenderKind.OVERDRAFT,
                             max_amount=10, price=Fraction(3, 4)))
     g = aggregate(pool)
-    # Unclamped cap: floor(10 * 3/4) = 7 UOA, which needs ceil(7 / (3/4)) = 10 USDX.
-    net = clamp_network(build_network(g), funded_ledger(("b", "USDX", 10)), {"b"})
+    # The facility b pays: its pot holds the most flow whose floored cost
+    # fits its balance, ceil((10 + 1) * 3/4) - 1 = 8 UOA for 10 USDX.
+    net = build_network(g, ledger=funded_ledger(("b", "USDX", 10)))
+    assert pots_of(net, "USDX") == ((Pot(payer="b", cap=8, recycles=True),), {"t": 0})
+    # A facility gets its pot even when its balance covers the draw, and
+    # its own acceptances feed the pot back.
     stage = next(s for s in net.stages if s.currency == "USDX")
-    assert stage.tender_arcs[0].cap == 7
-    # With only 9 USDX the cap drops to floor(9 * 3/4) = 6.
-    net = clamp_network(build_network(g), funded_ledger(("b", "USDX", 9)), {"b"})
-    stage = next(s for s in net.stages if s.currency == "USDX")
-    assert stage.tender_arcs[0].cap == 6
+    assert stage.tender_arcs[0].cap == 7  # floor(10 * 3/4)
+    assert {a.edge.edge_id: a.pot for a in stage.accept_arcs} == {"dep": 0}
+    net = build_network(g, ledger=funded_ledger(("b", "USDX", 9)))
+    assert pots_of(net, "USDX")[0] == (Pot(payer="b", cap=7, recycles=True),)
+    # Without a ledger its pot is unlimited, but still recycles.
+    assert pots_of(build_network(g), "USDX")[0] == (Pot(payer="b", cap=None, recycles=True),)
 
 
 def test_foreign_acceptance_limit_converts_at_min_price() -> None:

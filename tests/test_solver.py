@@ -23,7 +23,7 @@ from setoff import (
 from setoff import _mincost, kernel, solver, validate
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.solver import cancel_cycles, solve_network
-from setoff.validate import Violation, is_valid_flow
+from setoff.validate import is_valid_flow
 
 from support import (
     HUB,
@@ -130,9 +130,10 @@ def test_solve_p2p_loan_without_assets() -> None:
     ledger = Ledger()  # nobody holds anything
     flow, sol = solve_settleable(g, None, ledger)
     assert sol.cleared_debt == 20
-    assert sol.liquidity_used == {UNIT: 10}
+    # The draw exits at carol, its own facility, and feeds her pot back: it
+    # is no new money, and no transfer is needed.
+    assert sol.liquidity_used == {}
     assert sol.arc_flows["t:draw"] == 10
-    # The draw exits at carol, its own facility: no transfer needed.
     assert flow.transfers == ()
     assert is_valid_flow(g, flow, ledger).ok
 
@@ -172,9 +173,8 @@ def test_solve_issuer_pays_own_debt() -> None:
 
 
 def test_solve_settleable_falls_back_to_clamped_network() -> None:
-    # B can only fund 4 of its 10-unit tender; the optimistic pass overdraws,
-    # so the clamped rebuild runs. B's 4 ride the B->C->A chain (2x), C's 15
-    # ride C->A (1x): 60 set-off + 8 + 15.
+    # B can only fund 4 of its 10-unit tender, so its pot holds 4. B's 4
+    # ride the B->C->A chain (2x), C's 15 ride C->A (1x): 60 set-off + 8 + 15.
     g = aggregate(cycle_pool(with_tenders=True))
     ledger = funded_ledger(("B", UNIT, 4), ("C", UNIT, 15))
     flow, sol = solve_settleable(g, 25, ledger)
@@ -185,9 +185,9 @@ def test_solve_settleable_falls_back_to_clamped_network() -> None:
 
 
 def test_solve_settleable_clamps_only_overdrawn_payers() -> None:
-    # Unfunded assignments lose the first pass to validation, but beta's
-    # draw on alpha exits at alpha itself and needs no assets. The repair
-    # must clamp only the overdrawn senders, not the free credit line.
+    # The unfunded assignments get empty pots, but beta's draw on alpha
+    # exits at alpha itself and needs no assets: alpha's pot takes back
+    # what alpha receives, so the credit line clears the cycle on its own.
     pool = make_pool("alpha", "beta", "gamma")
     add_signed(pool, Obligation(id="o1", debtor="alpha", creditor="beta", amount=20, unit=UNIT))
     add_signed(pool, Obligation(id="o2", debtor="beta", creditor="gamma", amount=30, unit=UNIT))
@@ -206,7 +206,7 @@ def test_solve_settleable_clamps_only_overdrawn_payers() -> None:
     flow, sol = solve_settleable(g, None, ledger)
     assert is_valid_flow(g, flow, ledger).ok
     assert sol.cleared_debt == 80
-    assert sol.liquidity_used == {UNIT: 10}
+    assert sol.liquidity_used == {}
     assert tender_flows(sol) == {"t:draw": 10}
     assert flow.transfers == ()
 
@@ -223,63 +223,34 @@ def partly_funded(seed: int):
     return g, ledger
 
 
-def fresh_solves(monkeypatch):
-    """Make every kernel call run phase 1 itself, ignoring a shared residual."""
-    monkeypatch.setattr(kernel, "solve_min_cost", lambda *args, residual: _mincost.solve(*args))
-
-
 def test_solve_settleable_runs_kernel_phase_1_once(monkeypatch) -> None:
     g, ledger = partly_funded(1)
     solves = counting_calls(monkeypatch, kernel, "solve_min_cost")
     phase1 = counting_calls(monkeypatch, _mincost, "_cycles")
     validations = counting_calls(monkeypatch, validate, "is_valid_flow")
-    solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
-    assert len(solves) == 4  # the first round and three clamp rounds
-    assert len(phase1) == 1
-    assert len(validations) == 0  # rounds ask the balance check alone
+    _, solution = solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
+    assert len(solves) == len(phase1) == 1
+    assert len(validations) == 0  # apply_flow validates
+    assert solution.liquidity_used  # the budget and balances bind
 
 
 def test_solve_settleable_lowers_the_graph_once(monkeypatch) -> None:
     g, ledger = partly_funded(1)
     builds = counting_calls(monkeypatch, solver, "build_network")
-    clamps = counting_calls(monkeypatch, solver, "clamp_network")
-    solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
-    assert len(builds) == 1
-    assert len(clamps) == 3  # each clamp round re-caps the one lowered network
-    assert len({id(args[0]) for args, _ in clamps}) == 1  # from the declared caps each time
-
-
-def test_a_payer_named_again_ends_the_rounds(monkeypatch) -> None:
-    # A balance check that always finds one payer overdrawn drives the solve
-    # through one clamp round; naming that payer again ends the rounds.
-    g, ledger = partly_funded(2)
-    payer = g.tender_edges[0].sender
-    overdrawn = [Violation("NonNegativeBalance", (payer,), "overdrawn")]
-    monkeypatch.setattr(solver, "balance_violations", lambda *args: overdrawn)
-    clamps = counting_calls(monkeypatch, solver, "clamp_network")
     solves = counting_calls(monkeypatch, kernel, "solve_min_cost")
-    phase1 = counting_calls(monkeypatch, _mincost, "_cycles")
-    shared = solve_settleable(g, None, ledger, seed=2)
-    assert [args[2] for args, _ in clamps] == [{payer}]
-    assert len(solves) == 2 and len(phase1) == 1
-    fresh_solves(monkeypatch)
-    assert solve_settleable(g, None, ledger, seed=2) == shared
+    solve_settleable(g, compute_nid(g) // 2, ledger, seed=1)
+    assert len(builds) == len(solves) == 1
+    [(_, kwargs)] = builds
+    assert kwargs["ledger"] is ledger
+    (stage,) = build_network(g, ledger=ledger).stages
+    assert stage.pots  # some payers' balances bind
 
 
-def test_no_clamp_round_names_a_clamped_payer(monkeypatch) -> None:
-    # A clamped payer's tenders draw from one balance pot, so on a ledger
-    # with no negative balance each round names only new payers and the
-    # last names nobody.
-    named: list[set[str]] = []
-
-    def balance_check(*args):
-        violations = validate.balance_violations(*args)
-        named.append({v.ids[0] for v in violations})
-        return violations
-
-    monkeypatch.setattr(solver, "balance_violations", balance_check)
-    clamps = counting_calls(monkeypatch, solver, "clamp_network")
-    clamp_rounds = 0
+def test_one_solve_overdraws_no_payer() -> None:
+    # Tenders in three currencies at random prices, overdrafts on credit
+    # lines, and balances of zero or a little: whatever the network's
+    # optimum, its flow passes all five checks.
+    pots = 0
     for seed in range(300):
         rng = random.Random(seed)
         pool = random_liquidity_pool(rng)
@@ -290,23 +261,17 @@ def test_no_clamp_round_names_a_clamped_payer(monkeypatch) -> None:
             for code in pool.currencies
         ))
         for budget in (None, compute_nid(g) // 2):
-            clamps.clear()
-            named.clear()
+            net = build_network(g, budget=budget, seed=seed, ledger=ledger)
+            pots += sum(len(stage.pots) for stage in net.stages)
             flow, _ = solve_settleable(g, budget, ledger, seed=seed)
-            clamped = [set()] + [args[2] for args, _ in clamps]  # per round
-            assert len(clamped) == len(named), (seed, budget)
-            for payers, offenders in zip(clamped, named):
-                assert not offenders & payers, (seed, budget)
-            assert named[-1] == set(), (seed, budget)
             assert is_valid_flow(g, flow, ledger).ok, (seed, budget)
-            clamp_rounds += len(clamps)
-    assert clamp_rounds >= 50  # the clamp is exercised (89 rounds in 600 solves)
+    assert pots >= 100  # the pots are exercised
 
 
 def test_a_non_issuer_that_starts_negative_is_refused() -> None:
     # b pays a 3 through a 3-unit tender, and a starts at -5: the 3 it
-    # receives leave it at -2. Clamping a changes nothing, so a is named
-    # again, the rounds end, and apply_flow refuses the flow.
+    # receives leave it at -2. a pays nothing, so no pot can help it, and
+    # apply_flow refuses the flow.
     pool = make_pool("a", "b")
     add_signed(pool, Obligation(id="o", debtor="b", creditor="a", amount=3, unit=UNIT))
     add_signed(pool, Tender(id="t", sender="b", source=HUB,
@@ -323,14 +288,13 @@ def test_a_non_issuer_that_starts_negative_is_refused() -> None:
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_shared_phase_1_settles_as_fresh_solves(seed: int, monkeypatch) -> None:
+def test_partly_funded_epochs_match_network_simplex(seed: int) -> None:
+    pytest.importorskip("networkx")
     g, ledger = partly_funded(seed)
     for budget in (None, compute_nid(g) // 2):
-        shared = solve_settleable(g, budget, ledger, seed=seed)
-        with monkeypatch.context() as m:
-            fresh_solves(m)
-            fresh = solve_settleable(g, budget, ledger, seed=seed)
-        assert shared == fresh, budget
+        flow, sol = solve_settleable(g, budget, ledger, seed=seed)
+        assert sol.cleared_debt == network_simplex_optimum(g, budget, ledger), budget
+        assert is_valid_flow(g, flow, ledger).ok, budget
 
 
 def test_solve_seed_determinism() -> None:
@@ -409,12 +373,13 @@ def test_unlimited_acceptance_and_budget_do_not_bind_above_2_62() -> None:
     assert sol.liquidity_used == {UNIT: big}
 
 
-def network_simplex_optimum(g, budget: int | None) -> int:
+def network_simplex_optimum(g, budget: int | None, ledger=None) -> int:
     """Maximum dischargeable debt, solved by networkx as one min-cost circulation.
 
     Obligations cost -1 per unit; tenders (source -> sender), acceptances
     (origin -> sink) and the sink -> source budget arc cost 0. An arc without
-    a ``capacity`` is unlimited.
+    a ``capacity`` is unlimited. Given a ledger, each sender's tenders draw
+    from one node the source feeds with at most its balance.
     """
     import networkx as nx
 
@@ -428,7 +393,12 @@ def network_simplex_optimum(g, budget: int | None) -> int:
         net.add_edge(edge.debtor, edge.creditor, capacity=edge.amount, weight=-1)
     for te in g.tender_edges:
         assert te.kind is TenderKind.ASSIGNMENT and te.price is None
-        net.add_edge(source, te.sender, capacity=te.max_amount, weight=0)
+        if ledger is None:
+            net.add_edge(source, te.sender, capacity=te.max_amount, weight=0)
+        else:
+            funds = ("funds", te.sender)
+            net.add_edge(source, funds, capacity=max(0, ledger.balance(te.sender, UNIT)), weight=0)
+            net.add_edge(funds, te.sender, capacity=te.max_amount, weight=0)
     for ae in g.acceptance_edges:
         assert ae.currency == g.unit
         net.add_edge(ae.origin, sink, weight=0, **capacity(ae.limit))
