@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import ClearingEngine, canonical_dumps
+from .engine import ClearingEngine, _read_json, canonical_dumps
 from .errors import SetoffError, StateError
 from .experiments import (
     SyntheticGraphConfig,
@@ -35,6 +35,12 @@ def _parse_currency(spec: str) -> tuple[str, str]:
     if not sep or not code or not issuer:
         raise StateError(f"--currency expects CODE=ISSUER, got {spec!r}")
     return code, issuer
+
+
+def _json_object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError("the config must be a JSON object")
+    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,14 +123,15 @@ def _run(args: argparse.Namespace) -> dict | None:
             fractions = [float(x) for x in str(args.fractions).split(",") if x != ""]
         except ValueError as exc:
             raise StateError(f"--fractions expects numbers, got {args.fractions!r}") from exc
-        obj = json.loads(args.config.read_text())
-        if not isinstance(obj, dict):
-            raise StateError(f"{args.config}: the config must be a JSON object")
+        obj = _read_json(args.config, _json_object)
         placement = obj.pop("placement", "net_debtors")
         config = SyntheticGraphConfig.from_obj(obj)
         g = attach_default_liquidity(generate(config), placement=placement)
         points = multiplier_curve(g, fractions)
-        args.out.write_text(curve_to_csv(points))
+        try:
+            args.out.write_text(curve_to_csv(points))
+        except OSError as exc:
+            raise StateError(f"{args.out}: {type(exc).__name__}: {exc}") from exc
         return {
             "out": str(args.out),
             "points": len(points),

@@ -92,11 +92,19 @@ def _write_atomic(path: Path, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of a file; one that cannot be read or decoded is a StateError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise StateError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _read_log(path: Path) -> list[tuple[int, dict]]:
     """(line number, object) per complete line of a JSONL log; a torn tail is skipped."""
     if not path.exists():
         return []
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = _read_text(path).split("\n")
     lines.pop()  # empty after the last newline, or a torn append
     objs = []
     for n, line in enumerate(lines, start=1):
@@ -113,14 +121,15 @@ def _read_log(path: Path) -> list[tuple[int, dict]]:
 
 
 def _read_json(path: Path, parse: Callable):
-    """``parse`` of one JSON store file.
+    """``parse`` of one JSON file.
 
     A file that is missing, does not parse as JSON, or that ``parse``
     refuses, is a ``StateError`` naming the file.
     """
+    text = _read_text(path)
     try:
-        return parse(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, SetoffError) as exc:
+        return parse(json.loads(text))
+    except (ValueError, LookupError, TypeError, AttributeError, SetoffError) as exc:
         raise StateError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -144,16 +153,30 @@ def _parse_wal(obj) -> dict:
     return obj
 
 
+_APPEND_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _append_log(path: Path, line: str) -> None:
-    """Append one newline-terminated line, first truncating a torn tail."""
-    with open(path, "a+b") as fh:
-        end = fh.seek(0, os.SEEK_END)
+    """Append one newline-terminated line, first truncating a torn tail.
+
+    One unbuffered descriptor, closed before the call returns. When the tail
+    is whole only its last byte is read; a torn tail is found by reading the
+    whole file and cut off. ``O_APPEND`` puts the write at the end.
+    """
+    fd = os.open(path, _APPEND_FLAGS, 0o666)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
         if end:
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write(line.encode("utf-8"))
+            os.lseek(fd, end - 1, os.SEEK_SET)
+            if os.read(fd, 1) != b"\n":
+                os.lseek(fd, 0, os.SEEK_SET)
+                whole = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+                os.ftruncate(fd, whole.rfind(b"\n") + 1)
+        data = memoryview(line.encode("utf-8"))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _config_pool(config: dict, registry: KeyRegistry | None = None) -> EpochPool:
@@ -177,10 +200,16 @@ def _refuse_reserved(intent_id: str) -> None:
 
 
 def _parse_key(agent: str, key_hex: str) -> bytes:
+    """The key bytes of one registration; an empty agent id or an empty key is refused."""
+    if not isinstance(agent, str) or not agent:
+        raise StateError(f"agent id {agent!r} is not a non-empty string")
     try:
-        return bytes.fromhex(key_hex)
+        key = bytes.fromhex(key_hex)
     except (TypeError, ValueError) as exc:
         raise StateError(f"key for {agent} is not hex: {exc}") from exc
+    if not key:
+        raise StateError(f"key for {agent} is empty")
+    return key
 
 
 class ClearingEngine:
@@ -192,18 +221,19 @@ class ClearingEngine:
         if not config_path.exists():
             raise StateError(f"{self.store} is not an initialized store")
         self.config = _read_json(config_path, _parse_config)
-        keys_path = self.store / "keys.jsonl"
-        if not keys_path.exists():
+        self._keys_path = self.store / "keys.jsonl"
+        if not self._keys_path.exists():
             raise StateError(
                 f"{self.store} has no keys.jsonl; stores that keep keys.json are not read"
             )
         self.registry = KeyRegistry()
-        for n, obj in _read_log(keys_path):
+        for n, obj in _read_log(self._keys_path):
             try:
-                agent, key_hex = obj["agent"], obj["key"]
+                self.registry.register(obj["agent"], _parse_key(obj["agent"], obj["key"]))
             except KeyError as exc:
-                raise StateError(f"{keys_path}:{n}: not a key line") from exc
-            self.registry.register(agent, _parse_key(agent, key_hex))
+                raise StateError(f"{self._keys_path}:{n}: not a key line") from exc
+            except StateError as exc:
+                raise StateError(f"{self._keys_path}:{n}: {exc}") from exc
         self._pools: dict[int, EpochPool] = {}
         self._pool_files: dict[int, Path] = {}
         self.epoch, self.phase = _read_json(self.store / "state.json", _parse_state)
@@ -266,7 +296,7 @@ class ClearingEngine:
         if key_hex is None:
             key_hex = secrets.token_hex(32)
         key = _parse_key(agent, key_hex)
-        _append_log(self.store / "keys.jsonl", canonical_dumps({"agent": agent, "key": key_hex}))
+        _append_log(self._keys_path, canonical_dumps({"agent": agent, "key": key_hex}))
         self.registry.register(agent, key)
         return key_hex
 
@@ -349,7 +379,7 @@ class ClearingEngine:
     def submit_file(self, path: str | Path) -> dict[str, int]:
         """Submit a JSONL file of intents; returns {intent id: epoch}."""
         accepted: dict[str, int] = {}
-        text = Path(path).read_text()
+        text = _read_text(Path(path))
         for i, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue

@@ -50,7 +50,22 @@ class SyntheticGraphConfig:
         extra = set(obj) - known
         if extra:
             raise GraphBuildError(f"unknown config fields: {sorted(extra)}")
+        for name, value in obj.items():
+            kind = cls.__dataclass_fields__[name].type  # "int", "float" or "str"
+            if kind == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise GraphBuildError(f"config field {name} must be an integer, got {value!r}")
+            if kind == "float" and not _is_finite_number(value):
+                raise GraphBuildError(f"config field {name} must be a finite number, got {value!r}")
+            if kind == "str" and not isinstance(value, str):
+                raise GraphBuildError(f"config field {name} must be a string, got {value!r}")
         return cls(**obj)
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        return False
 
 
 def _firm(i: int) -> str:
@@ -68,6 +83,10 @@ def generate(config: SyntheticGraphConfig) -> ObligationGraph:
         raise GraphBuildError("need at least 2 nodes")
     if m > n * (n - 1):
         raise GraphBuildError(f"{m} edges will not fit on {n} nodes")
+    if config.amount_dist == "uniform" and config.amount_low > config.amount_high:
+        raise GraphBuildError(
+            f"amount_low {config.amount_low} is above amount_high {config.amount_high}"
+        )
     rng = random.Random(config.seed)
 
     registry = KeyRegistry()

@@ -1,6 +1,8 @@
 """The epoch engine: store lifecycle, determinism, crash recovery, and CLI."""
 
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -831,6 +833,20 @@ def test_a_crash_at_any_store_write_then_a_retry_gives_the_uncrashed_bytes(
             assert store_bytes(store) == twin, (at, point, whole)
 
 
+# The SHA-256 of the two-epoch store's files, sorted by path; a change of store format
+# changes it, and says so.
+TWO_EPOCH_STORE_SHA256 = "297e852970da8d122ff9b7e8f42b35160028ceef2ad984416d944e511e78ae9e"
+
+
+def test_the_two_epoch_store_has_the_pinned_bytes(tmp_path: Path, monkeypatch) -> None:
+    live_two_epochs(tmp_path / "s", monkeypatch)
+    digest = hashlib.sha256()
+    for path, data in sorted(store_bytes(tmp_path / "s").items()):
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    assert digest.hexdigest() == TWO_EPOCH_STORE_SHA256
+
+
 # --- in-memory state -------------------------------------------------------------
 
 
@@ -1028,6 +1044,47 @@ def test_non_hex_key_in_keys_file_is_a_state_error(tmp_path: Path) -> None:
         ClearingEngine(tmp_path / "s")
 
 
+@pytest.mark.parametrize("agent, key_hex, detail", [
+    ("A", "", "key for A is empty"),
+    ("A", " ", "key for A is empty"),
+    ("", "ab", "agent id '' is not a non-empty string"),
+])
+def test_an_empty_key_or_agent_id_is_refused_before_any_write(
+    tmp_path: Path, agent: str, key_hex: str, detail: str
+) -> None:
+    engine = make_engine(tmp_path / "s")
+    keys_path = tmp_path / "s" / "keys.jsonl"
+    before = keys_path.read_bytes()
+    with pytest.raises(StateError, match=detail):
+        engine.register_key(agent, key_hex)
+    assert keys_path.read_bytes() == before
+    assert engine.registry.key_for(agent) == (key_of("A") if agent else None)
+
+
+@pytest.mark.parametrize("line, detail", [
+    ('{"agent":"A","key":""}', "key for A is empty"),
+    ('{"agent":"","key":"ab"}', "agent id '' is not a non-empty string"),
+    ('{"agent":7,"key":"ab"}', "agent id 7 is not a non-empty string"),
+])
+def test_an_empty_key_or_agent_id_in_keys_file_names_the_line(
+    tmp_path: Path, line: str, detail: str
+) -> None:
+    make_engine(tmp_path / "s")
+    keys_path = tmp_path / "s" / "keys.jsonl"
+    with open(keys_path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(StateError, match=f"keys.jsonl:{len(AGENTS) + 1}: {detail}"):
+        ClearingEngine(tmp_path / "s")
+
+
+def test_a_keys_file_that_is_not_utf8_is_a_state_error_naming_it(tmp_path: Path) -> None:
+    make_engine(tmp_path / "s")
+    with open(tmp_path / "s" / "keys.jsonl", "ab") as fh:
+        fh.write(b'{"agent":"\xe9","key":"ab"}\n')
+    with pytest.raises(StateError, match="keys.jsonl: UnicodeDecodeError"):
+        ClearingEngine(tmp_path / "s")
+
+
 def test_key_hex_is_stored_exactly_as_given(tmp_path: Path) -> None:
     engine = make_engine(tmp_path / "s")
     upper = key_of("dave").hex().upper()
@@ -1103,6 +1160,83 @@ def test_torn_keys_tail_is_skipped_then_truncated(tmp_path: Path) -> None:
     objs = [json.loads(line) for line in keys_path.read_text().splitlines()]
     assert [obj["agent"] for obj in objs] == [*AGENTS, "dave"]
     assert ClearingEngine(tmp_path / "s").registry.key_for("dave") == key_of("dave")
+
+
+LINE = '{"agent":"dave","key":"ab"}\n'
+
+
+@pytest.mark.parametrize("before, after", [
+    (None, LINE),  # a missing file is created
+    (b"", LINE),
+    (b'{"a":1}\n', '{"a":1}\n' + LINE),  # a whole tail is kept
+    (b'{"a":1}\n{"agent":"Z","ke', '{"a":1}\n' + LINE),  # half a line is cut
+    (b'{"a":1}\n{"b":2}', '{"a":1}\n' + LINE),  # so is a whole line without its newline
+    (b'{"agent":"Z","ke', LINE),  # a file that is one torn line
+], ids=["missing", "empty", "whole", "half-line", "no-newline", "one-torn-line"])
+def test_append_log_cuts_a_torn_tail_and_appends_one_line(
+    tmp_path: Path, before: bytes | None, after: str
+) -> None:
+    path = tmp_path / "log.jsonl"
+    if before is not None:
+        path.write_bytes(before)
+    engine_module._append_log(path, LINE)
+    assert path.read_bytes() == after.encode()
+
+
+def counting_os(monkeypatch) -> dict[str, int]:
+    """Count ``os.open`` and ``os.close`` calls and the bytes ``os.read`` returns."""
+    counts = {"open": 0, "close": 0, "read_bytes": 0}
+    real_open, real_close, real_read = os.open, os.close, os.read
+
+    def opening(*args, **kwargs):
+        counts["open"] += 1
+        return real_open(*args, **kwargs)
+
+    def closing(fd):
+        counts["close"] += 1
+        return real_close(fd)
+
+    def reading(fd, n):
+        data = real_read(fd, n)
+        counts["read_bytes"] += len(data)
+        return data
+
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "close", closing)
+    monkeypatch.setattr(os, "read", reading)
+    return counts
+
+
+def test_an_append_to_a_whole_tail_opens_once_and_reads_one_byte(
+    tmp_path: Path, monkeypatch
+) -> None:
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a":1}\n' * 1000)
+    with monkeypatch.context() as m:
+        counts = counting_os(m)
+        engine_module._append_log(path, LINE)
+    assert counts == {"open": 1, "close": 1, "read_bytes": 1}
+    with monkeypatch.context() as m:
+        counts = counting_os(m)
+        engine_module._append_log(tmp_path / "new.jsonl", LINE)
+    assert counts == {"open": 1, "close": 1, "read_bytes": 0}
+
+
+def test_an_append_closes_what_it_opens_when_its_write_fails(
+    tmp_path: Path, monkeypatch
+) -> None:
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a":1}\n{"b"')
+    def full_disk(fd, data):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        counts = counting_os(m)
+        m.setattr(os, "write", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            engine_module._append_log(path, LINE)
+    assert counts["open"] == counts["close"] == 1
+    assert path.read_bytes() == b'{"a":1}\n'  # the torn tail went before the write failed
 
 
 @pytest.mark.parametrize("log", ["keys.jsonl", "epochs/00000/pool.jsonl"])
@@ -1397,3 +1531,110 @@ def test_cli_non_hex_keys_file_is_json_on_stderr(tmp_path: Path, capsys) -> None
     assert (code, out) == (1, "")
     error = json.loads(err)
     assert error["error"] == "StateError" and "key for A is not hex" in error["detail"]
+
+
+@pytest.mark.parametrize("key", ["", "  "])
+def test_cli_empty_key_leaves_keys_file_unchanged(tmp_path: Path, capsys, key: str) -> None:
+    store = str(tmp_path / "s")
+    run_cli(capsys, "--store", store, "init")
+    keys_path = tmp_path / "s" / "keys.jsonl"
+    before = keys_path.read_bytes()
+    for agent, key_hex, detail in (("A", key, "key for A is empty"),
+                                   ("", "ab", "agent id '' is not")):
+        code, out, err = run_cli(capsys, "--store", store, "keygen", "--agent", agent,
+                                 "--key", key_hex)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "StateError" and detail in error["detail"]
+    assert keys_path.read_bytes() == before
+
+
+def unreadable_files(tmp_path: Path) -> dict[str, tuple[Path, str]]:
+    """A path per way an input file cannot be read, with the error it names."""
+    latin = tmp_path / "latin.jsonl"
+    latin.write_bytes(b'{"id":"\xe9"}\n')
+    return {
+        "missing": (tmp_path / "missing.jsonl", "FileNotFoundError"),
+        "directory": (tmp_path, "IsADirectoryError"),
+        "non-utf8": (latin, "UnicodeDecodeError"),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
+def test_cli_submit_an_unreadable_file_is_json_on_stderr(
+    tmp_path: Path, capsys, case: str
+) -> None:
+    store = tmp_path / "s"
+    make_engine(store)
+    path, cause = unreadable_files(tmp_path)[case]
+    code, out, err = run_cli(capsys, "--store", str(store), "submit", str(path))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{path}: {cause}")
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "not-json"])
+def test_cli_simulate_an_unreadable_config_is_json_on_stderr(
+    tmp_path: Path, capsys, case: str
+) -> None:
+    if case == "not-json":
+        path, cause = tmp_path / "config.json", "JSONDecodeError"
+        path.write_text("{nodes: 6}")
+    else:
+        path, cause = unreadable_files(tmp_path)[case]
+    out_csv = tmp_path / "curve.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{path}: {cause}")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("edges", "x", "an integer"),
+    ("nodes", 6.0, "an integer"),
+    ("seed", True, "an integer"),
+    ("amount_low", None, "an integer"),
+    ("amount_high", [100], "an integer"),
+    ("lognormal_mu", "3", "a finite number"),
+    ("lognormal_sigma", False, "a finite number"),
+    ("lognormal_mu", float("inf"), "a finite number"),
+    pytest.param("lognormal_sigma", 10 ** 400, "a finite number", id="lognormal_sigma-huge-int"),
+    ("amount_dist", 1, "a string"),
+    ("unit", None, "a string"),
+    ("default_source", {}, "a string"),
+])
+def test_cli_simulate_a_config_field_of_the_wrong_type_is_json_on_stderr(
+    tmp_path: Path, capsys, field: str, value, want: str
+) -> None:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(SMALL_CONFIG), field: value}))
+    out_csv = tmp_path / "curve.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "GraphBuildError"
+    assert error["detail"] == f"config field {field} must be {want}, got {value!r}"
+    assert not out_csv.exists()
+
+
+def test_cli_simulate_an_unwritable_out_path_is_json_on_stderr(tmp_path: Path, capsys) -> None:
+    path = tmp_path / "config.json"
+    path.write_text(SMALL_CONFIG)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{tmp_path}: IsADirectoryError")
+
+
+def test_cli_simulate_an_empty_amount_range_is_json_on_stderr(tmp_path: Path, capsys) -> None:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(SMALL_CONFIG), "amount_low": 9, "amount_high": 3}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                             "--out", str(tmp_path / "curve.csv"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "GraphBuildError",
+                               "detail": "amount_low 9 is above amount_high 3"}
