@@ -7,6 +7,7 @@ print ``{"error": <class>, "detail": <message>}`` to stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -93,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_csv(report: dict) -> str:
-    lines = ["key,value"]
+def _write_report_csv(report: dict) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(("key", "value"))
     for key in sorted(report):
         value = report[key]
         if not isinstance(value, (str, int, float)) or isinstance(value, bool):
             value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        lines.append(f"{key},{value}")
-    return "\n".join(lines) + "\n"
+        writer.writerow((key, value))
 
 
 def _run(args: argparse.Namespace) -> dict | None:
@@ -151,7 +152,7 @@ def _run(args: argparse.Namespace) -> dict | None:
     if args.command == "report":
         report = engine.report(args.epoch)
         if args.format == "csv":
-            sys.stdout.write(_report_csv(report))
+            _write_report_csv(report)
             return None
         return report
     if args.command == "nid":

@@ -36,7 +36,8 @@ mutates ledger and state; a crash at any point either leaves the old state
 intact or leaves a complete commit log that the next ``run`` replays. The
 store has a single writer, because an engine reads each store file once and
 then keeps the open pools and the keys in memory; concurrent readers see
-complete snapshots.
+complete snapshots. Nothing enforces the single writer yet: a second engine
+opens the same store without an error (ROADMAP.md, item 2).
 """
 
 from __future__ import annotations
@@ -144,6 +145,12 @@ def _parse_state(obj) -> tuple[int, str]:
 
 def _parse_config(obj) -> dict:
     _config_pool(obj)  # refuses a config missing a key, or one the pool refuses
+    return obj
+
+
+def _parse_report(obj) -> dict:
+    if not {"epoch", "status"} <= obj.keys():
+        raise ValueError("not a whole report")
     return obj
 
 
@@ -333,9 +340,9 @@ class ClearingEngine:
                     raise StateError(f"{path}:{n}: cancels {target!r}, which is not pooled")
                 pool.remove(target)
                 continue
-            system = bool(obj.pop("system", False))
-            try:
-                pool.add(intent_from_obj(obj), preverified=system)
+            try:  # only the engine writes the reserved repayment ids: trust them
+                intent = intent_from_obj(obj)
+                pool.add(intent, preverified=intent.id.startswith(NEW_OBLIGATION_PREFIX))
             except (AmountError, IntentError, GraphBuildError) as exc:
                 raise StateError(f"{path}:{n}: {exc}") from exc
         return pool
@@ -355,8 +362,6 @@ class ClearingEngine:
         A resubmitted id is accepted idempotently without changing the pool.
         """
         if not isinstance(intent, Intent):
-            if isinstance(intent, dict) and "system" in intent:
-                raise IntentError("the system marker is reserved")
             intent = intent_from_obj(intent)
         _refuse_reserved(intent.id)
         target = self.epoch if self.phase == PHASE_OPEN else self.epoch + 1
@@ -419,14 +424,7 @@ class ClearingEngine:
         self._save_state()
         return self.epoch
 
-    def run(
-        self,
-        budget: int | None = None,
-        seed: int | None = None,
-        _flow_hook: Callable[[SettlementFlow], SettlementFlow] | None = None,
-        _failpoint: Callable[[str], None] | None = None,
-        _crash_after_wal: bool = False,
-    ) -> dict:
+    def run(self, budget: int | None = None, seed: int | None = None) -> dict:
         """Clear the frozen epoch: aggregate, solve, validate, settle, commit.
 
         On validation failure the epoch is recorded as failed, the ledger is
@@ -450,8 +448,6 @@ class ClearingEngine:
                 work.open_obligations[ob_id] = pool.obligations[ob_id]
 
         flow, solution = solve_settleable(g, budget, work, epoch_id=epoch, seed=seed)
-        if _flow_hook is not None:
-            flow = _flow_hook(flow)
 
         report: dict = {
             "epoch": epoch,
@@ -464,7 +460,7 @@ class ClearingEngine:
         }
         wal = {"epoch": epoch, "flow": flow_to_obj(flow), "report": report}
         try:
-            applied = apply_flow(work, flow, g, failpoint=_failpoint)
+            applied = apply_flow(work, flow, g)
         except InvalidFlow as exc:
             report.update(
                 status="failed",
@@ -479,15 +475,9 @@ class ClearingEngine:
                 discharged=applied.discharged,
                 new_obligations=[ob.id for ob in applied.new_obligations],
             )
-            wal.update(
-                ledger=work.to_obj(),
-                notices_csv=notices_to_csv(applied.notices),
-                enqueue=[dict(intent_to_obj(ob), system=True) for ob in applied.new_obligations],
-            )
+            wal.update(ledger=work.to_obj(), notices_csv=notices_to_csv(applied.notices))
         wal["status"] = report["status"]
         _write_atomic(wal_path, canonical_dumps(wal))
-        if _crash_after_wal:
-            raise RuntimeError("crash requested after commit log write")
         return self._commit_from_wal(wal)
 
     def _commit_from_wal(self, wal: dict) -> dict:
@@ -501,10 +491,11 @@ class ClearingEngine:
             _write_atomic(self.store / "ledger.json", canonical_dumps(wal["ledger"]))
             self.ledger = Ledger.from_obj(wal["ledger"])
             next_pool = self._pool(epoch + 1)
-            for obj in wal["enqueue"]:
-                if next_pool.get(obj["id"]) is None:
-                    self._append_pool_line(epoch + 1, obj)
-                    next_pool.add(intent_from_obj(obj), preverified=True)
+            for ob_id in wal["report"]["new_obligations"]:
+                if next_pool.get(ob_id) is None:
+                    ob = self.ledger.open_obligations[ob_id]
+                    self._append_pool_line(epoch + 1, intent_to_obj(ob))
+                    next_pool.add(ob, preverified=True)
         self._pools.pop(epoch, None)
         self._pool_files.pop(epoch, None)
         self.epoch = epoch + 1
@@ -530,10 +521,10 @@ class ClearingEngine:
         path = self._epoch_dir(epoch) / "report.json"
         if epoch < 0 or not path.exists():
             raise StateError(f"epoch {epoch} has no report")
-        return json.loads(path.read_text())
+        return _read_json(path, _parse_report)
 
     def flow(self, epoch: int) -> SettlementFlow:
         path = self._epoch_dir(epoch) / "flow.json"
         if not path.exists():
             raise StateError(f"epoch {epoch} has no flow")
-        return flow_from_obj(json.loads(path.read_text()))
+        return _read_json(path, flow_from_obj)

@@ -83,6 +83,8 @@ def generate(config: SyntheticGraphConfig) -> ObligationGraph:
         raise GraphBuildError("need at least 2 nodes")
     if m > n * (n - 1):
         raise GraphBuildError(f"{m} edges will not fit on {n} nodes")
+    if config.amount_dist not in ("uniform", "lognormal"):
+        raise GraphBuildError(f"unknown amount_dist {config.amount_dist!r}")
     if config.amount_dist == "uniform" and config.amount_low > config.amount_high:
         raise GraphBuildError(
             f"amount_low {config.amount_low} is above amount_high {config.amount_high}"
@@ -111,10 +113,8 @@ def generate(config: SyntheticGraphConfig) -> ObligationGraph:
     for k, (i, j) in enumerate(sorted(pairs)):
         if config.amount_dist == "uniform":
             amount = rng.randint(config.amount_low, config.amount_high)
-        elif config.amount_dist == "lognormal":
-            amount = max(1, round(rng.lognormvariate(config.lognormal_mu, config.lognormal_sigma)))
         else:
-            raise GraphBuildError(f"unknown amount_dist {config.amount_dist!r}")
+            amount = max(1, round(rng.lognormvariate(config.lognormal_mu, config.lognormal_sigma)))
         ob = Obligation(
             id=f"ob:{k:05d}",
             debtor=firms[i],
@@ -189,13 +189,13 @@ class MultiplierPoint:
 
 
 def _solve_point(g: ObligationGraph, budget: int) -> tuple[int, dict[str, int]]:
-    net = build_network(g, budget=budget)
-    _, solution = solve_network(net)
+    flow, solution = solve_network(build_network(g, budget=budget))
+    obligations = g.pool.obligations
     cleared_by_debtor: dict[str, int] = {}
-    for (debtor, creditor) in g.edges:
-        flow = solution.arc_flows.get(f"ob:{debtor}>{creditor}", 0)
-        if flow:
-            cleared_by_debtor[debtor] = cleared_by_debtor.get(debtor, 0) + flow
+    for rec in flow.records:
+        ob = obligations.get(rec.edge_ref)
+        if ob is not None and rec.party == ob.debtor:
+            cleared_by_debtor[ob.debtor] = cleared_by_debtor.get(ob.debtor, 0) + rec.amount
     return solution.cleared_debt, cleared_by_debtor
 
 

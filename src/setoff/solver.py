@@ -4,8 +4,9 @@ Obligation arcs cost -1 per unit and everything else costs 0, so a min-cost
 flow is exactly a maximum-discharge settlement, and liquidity is only ever
 injected along paths that clear at least as much debt as they spend.
 
-``cancel_cycles`` computes the pure set-off component (no liquidity), and
-``solve`` adds the budgeted chains on top of it and renders the result as a
+``cancel_cycles`` computes the pure set-off component (no liquidity) on its
+own. ``solve`` makes one kernel call, whose phase 1 cancels the cycles and
+whose phase 2 adds the budgeted chains, and renders the result as a
 settlement flow with paired records and direct transfers. Given a ledger,
 ``build_network`` bounds each payer's new money by its balance in the
 network itself, so one solve gives a flow that overdraws nobody.
@@ -30,40 +31,22 @@ from .model import AgentId, Ledger, SettlementFlow, SettlementRecord, Transfer
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Solver-level view of a flow, before record decomposition.
+    """The totals of a flow; its per-edge amounts are the flow's records."""
 
-    ``arc_flows`` is keyed by ``ob:<debtor>><creditor>`` for aggregated
-    obligation arcs and by intent/edge id for liquidity arcs; zero flows are
-    omitted.
-    """
-
-    arc_flows: dict[str, int]
     cleared_debt: int
     liquidity_used: dict[str, int]
 
 
-def _ob_key(debtor: str, creditor: str) -> str:
-    return f"ob:{debtor}>{creditor}"
-
-
-def cancel_cycles(net: FlowNetwork) -> FlowSolution:
-    """Maximum set-off achievable with zero liquidity.
+def cancel_cycles(net: FlowNetwork) -> dict[tuple[AgentId, AgentId], int]:
+    """Maximum set-off achievable with zero liquidity, per (debtor, creditor).
 
     Every negative-cost residual cycle is eliminated; the resulting flow is
-    balanced at every node, so net positions are untouched.
+    balanced at every node, so net positions are untouched. Zero flows are
+    omitted.
     """
     obligations = [(a.tail, a.head, a.cap) for a in net.ob_arcs]
     cycle_ob = kernel.solve_min_cost(len(net.nodes), obligations, [], None)[0]
-    arc_flows = {
-        _ob_key(a.debtor, a.creditor): f
-        for a, f in zip(net.ob_arcs, cycle_ob)
-        if f
-    }
-    return FlowSolution(
-        arc_flows=arc_flows,
-        cleared_debt=sum(cycle_ob),
-        liquidity_used={},
-    )
+    return {(a.debtor, a.creditor): f for a, f in zip(net.ob_arcs, cycle_ob) if f}
 
 
 def _pair(
@@ -106,7 +89,6 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
     pool = g.pool
 
     records: list[SettlementRecord] = []
-    arc_flows: dict[str, int] = {}
 
     # Aggregated obligation flows split back into contributing obligations,
     # oldest due date first, then smallest id.
@@ -114,7 +96,6 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
     for arc, flow in zip(net.ob_arcs, final_ob):
         if flow:
             flow_by_pair[(arc.debtor, arc.creditor)] = flow
-            arc_flows[_ob_key(arc.debtor, arc.creditor)] = flow
     for pair in sorted(flow_by_pair):
         edge = g.edges[pair]
         remaining = flow_by_pair[pair]
@@ -177,7 +158,6 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
                 transfers[key] = transfers.get(key, 0) + converted
 
         for t_edge, flow in tender_used:
-            arc_flows[t_edge.tender_id] = flow
             currency_amount = (
                 (floor_div_price(flow, t_edge.price), stage.currency) if foreign else None
             )
@@ -198,7 +178,6 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
                 )
             )
         for a_edge, flow in accept_used:
-            arc_flows[a_edge.edge_id] = flow
             currency_amount = (
                 (received.get(a_edge.edge_id, 0), stage.currency) if foreign else None
             )
@@ -227,13 +206,7 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
             for k, v in transfers.items()
         ),
     )
-    cleared = sum(final_ob)
-    solution = FlowSolution(
-        arc_flows=arc_flows,
-        cleared_debt=cleared,
-        liquidity_used=liquidity,
-    )
-    return flow, solution
+    return flow, FlowSolution(cleared_debt=sum(final_ob), liquidity_used=liquidity)
 
 
 def solve_settleable(

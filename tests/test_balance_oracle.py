@@ -134,7 +134,7 @@ def test_one_solve_clears_the_exact_optimum() -> None:
         rich = funded_ledger(*((u, UNIT, 10**6) for u in g.nodes))
         bound += solve_settleable(g, budget, rich)[1].cleared_debt > best
         _, broke = solve_settleable(g, budget, funded_ledger())
-        recycled += broke.cleared_debt > cancel_cycles(build_network(g)).cleared_debt
+        recycled += broke.cleared_debt > sum(cancel_cycles(build_network(g)).values())
     assert bound >= 30 and recycled >= 10
 
 

@@ -1,6 +1,8 @@
 """The epoch engine: store lifecycle, determinism, crash recovery, and CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -83,6 +85,31 @@ def funded_cycle_engine(path: Path) -> ClearingEngine:
     for intent in cycle_intents():
         submit_signed(engine, intent)
     return engine
+
+
+def crash_after_wal(engine: ClearingEngine, **run_args) -> dict:
+    """``run``, dying right after its commit log is written, before any commit."""
+    real_write = engine_module._write_atomic
+
+    def write(path: Path, data: str) -> None:
+        real_write(path, data)
+        if path.name == "applied.json":
+            raise RuntimeError("crash requested after commit log write")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine_module, "_write_atomic", write)
+        return engine.run(**run_args)
+
+
+def tamper_flows(monkeypatch, hook) -> None:
+    """Pass every flow ``run`` solves through ``hook`` before it is validated."""
+    real_solve = engine_module.solve_settleable
+
+    def solve(*args, **kwargs):
+        flow, solution = real_solve(*args, **kwargs)
+        return hook(flow), solution
+
+    monkeypatch.setattr(engine_module, "solve_settleable", solve)
 
 
 # --- store lifecycle ---------------------------------------------------------
@@ -272,10 +299,16 @@ def test_submit_rejects_reserved_ids_and_markers(tmp_path: Path) -> None:
             id="accept:default:A", origin="A", target=HUB,
             kind=AcceptanceKind.DEPOSIT, currency=UNIT,
         ))
-    with pytest.raises(IntentError, match="system marker"):
+    # A line of an older store's pool marks the engine's obligations "system";
+    # a submitted marker buys no trust.
+    with pytest.raises(IntentError, match="not ascertained"):
         engine.submit_intent({"type": "obligation", "id": "o", "debtor": "A",
                               "creditor": "B", "amount": 5, "unit": UNIT,
                               "system": True})
+    with pytest.raises(IntentError, match="not ascertained"):
+        engine.submit_intent({"type": "obligation", "id": "o", "debtor": "A",
+                              "creditor": "B", "amount": 5, "unit": UNIT,
+                              "system": True, "ascertainment": "00" * 32})
 
 
 def test_submit_rejects_unascertained(tmp_path: Path) -> None:
@@ -478,7 +511,8 @@ def test_overdraft_creates_next_epoch_obligation(tmp_path: Path) -> None:
 
     queued = (tmp_path / "s" / "epochs" / "00001" / "pool.jsonl").read_text()
     (line,) = [json.loads(l) for l in queued.splitlines() if l]
-    assert line["id"] == new_id and line["system"] is True
+    assert line["id"] == new_id and "system" not in line
+    assert line == intent_to_obj(engine.ledger.open_obligations[new_id])
     assert line["ascertainment"] is None
 
     # Only the engine may withdraw what it wrote under a reserved id.
@@ -487,7 +521,7 @@ def test_overdraft_creates_next_epoch_obligation(tmp_path: Path) -> None:
     assert engine._pool(1).get(new_id) is not None
     assert (tmp_path / "s" / "epochs" / "00001" / "pool.jsonl").read_text() == queued
 
-    # The system obligation is preverified and persists while unclearable.
+    # The engine's obligation is trusted by its reserved id and persists while unclearable.
     engine.freeze()
     second = engine.run()
     assert second["status"] == "applied"
@@ -590,7 +624,7 @@ def test_overdraft_past_the_intent_bound_queues_a_declarable_repayment(
 # --- failure handling -----------------------------------------------------------
 
 
-def test_tampered_flow_marks_epoch_failed(tmp_path: Path) -> None:
+def test_tampered_flow_marks_epoch_failed(tmp_path: Path, monkeypatch) -> None:
     engine = funded_cycle_engine(tmp_path / "s")
     engine.freeze()
     ledger_before = (tmp_path / "s" / "ledger.json").read_bytes()
@@ -600,7 +634,8 @@ def test_tampered_flow_marks_epoch_failed(tmp_path: Path) -> None:
         records[0] = replace(records[0], amount=records[0].amount + 1)
         return replace(flow, records=tuple(records))
 
-    report = engine.run(budget=25, _flow_hook=corrupt)
+    tamper_flows(monkeypatch, corrupt)
+    report = engine.run(budget=25)
     assert report["status"] == "failed"
     assert report["violations"], "expected at least one named violation"
     assert report["violations"][0][0] in {
@@ -648,7 +683,9 @@ def test_each_epoch_validates_its_flow_once(
         submit_signed(engine, intent)
     engine.freeze()
     ledger_before = (tmp_path / "s" / "ledger.json").read_bytes()
-    report = engine.run(budget=25, seed=7, _flow_hook=hook)
+    if hook is not None:
+        tamper_flows(monkeypatch, hook)
+    report = engine.run(budget=25, seed=7)
     assert len(reports) == 1 and len(kernel_calls) == solves
     if hook is None:
         assert report["status"] == "applied" and reports[0].ok
@@ -661,7 +698,7 @@ def test_each_epoch_validates_its_flow_once(
     assert (tmp_path / "s" / "ledger.json").read_bytes() == ledger_before
 
 
-def test_settlement_fault_leaves_epoch_retryable(tmp_path: Path) -> None:
+def test_settlement_fault_leaves_epoch_retryable(tmp_path: Path, monkeypatch) -> None:
     engine = funded_cycle_engine(tmp_path / "s")
     engine.freeze()
     ledger_before = (tmp_path / "s" / "ledger.json").read_bytes()
@@ -671,8 +708,11 @@ def test_settlement_fault_leaves_epoch_retryable(tmp_path: Path) -> None:
         if label.startswith("transfer:"):
             raise RuntimeError("disk on fire")
 
-    with pytest.raises(RuntimeError, match="disk on fire"):
-        engine.run(budget=25, seed=7, _failpoint=explode)
+    real_apply = engine_module.apply_flow
+    with monkeypatch.context() as m:
+        m.setattr(engine_module, "apply_flow", lambda *args: real_apply(*args, failpoint=explode))
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            engine.run(budget=25, seed=7)
     assert (tmp_path / "s" / "ledger.json").read_bytes() == ledger_before
     assert (tmp_path / "s" / "state.json").read_bytes() == state_before
     assert engine.phase == "frozen"
@@ -686,7 +726,7 @@ def test_crash_after_wal_replays_identically(tmp_path: Path) -> None:
     engine = funded_cycle_engine(tmp_path / "one")
     engine.freeze()
     with pytest.raises(RuntimeError, match="crash requested"):
-        engine.run(budget=25, seed=7, _crash_after_wal=True)
+        crash_after_wal(engine, budget=25, seed=7)
     wal_path = tmp_path / "one" / "epochs" / "00000" / "applied.json"
     assert wal_path.exists()
     assert engine.phase == "frozen"  # commit never happened
@@ -717,10 +757,67 @@ def test_crash_after_wal_replays_the_enqueue_identically(tmp_path: Path) -> None
         engine.freeze()
         if crash:
             with pytest.raises(RuntimeError, match="crash requested"):
-                engine.run(_crash_after_wal=True)
+                crash_after_wal(engine)
             engine = ClearingEngine(tmp_path / name)
         assert engine.run()["new_obligations"] == [f"{NEW_OBLIGATION_PREFIX}0:t:draw:acc:loan"]
     assert store_bytes(tmp_path / "crashed") == store_bytes(tmp_path / "control")
+
+
+def loan_epoch_run(store: Path) -> ClearingEngine:
+    """An engine past one run of the loan intents: epoch 1 holds the repayment obligation."""
+    engine = make_engine(store)
+    for intent in loan_intents():
+        submit_signed(engine, intent)
+    engine.freeze()
+    engine.run()
+    return engine
+
+
+def test_an_older_pool_line_marked_system_loads_as_trusted(tmp_path: Path) -> None:
+    control = loan_epoch_run(tmp_path / "control")
+    older = loan_epoch_run(tmp_path / "older")
+    new_id = f"{NEW_OBLIGATION_PREFIX}0:t:draw:acc:loan"
+    pool_path = older._pool_path(1)
+    lines = [json.loads(line) for line in pool_path.read_text().splitlines()]
+    assert [line["id"] for line in lines] == [new_id]
+    pool_path.write_text("".join(engine_module.canonical_dumps(dict(line, system=True))
+                                 for line in lines))
+
+    reopened = ClearingEngine(tmp_path / "older")
+    pool = reopened._pool(1)
+    assert new_id in pool.preverified and pool.is_ascertained(pool.obligations[new_id])
+    assert pool_contents(pool) == pool_contents(ClearingEngine(control.store)._pool(1))
+    for engine in (reopened, control):
+        engine.freeze()
+    assert reopened.run() == control.run()
+
+
+def test_an_older_commit_log_with_enqueue_replays_the_same(tmp_path: Path) -> None:
+    """A commit log that still lists the queued obligations replays like a current one."""
+    for name, crash in (("older", True), ("control", False)):
+        engine = make_engine(tmp_path / name)
+        for intent in loan_intents():
+            submit_signed(engine, intent)
+        engine.freeze()
+        if crash:
+            with pytest.raises(RuntimeError, match="crash requested"):
+                crash_after_wal(engine)
+            wal_path = engine._epoch_dir(0) / "applied.json"
+            wal = json.loads(wal_path.read_text())
+            wal["enqueue"] = [
+                dict(wal["ledger"]["open_obligations"][ob_id], system=True)
+                for ob_id in wal["report"]["new_obligations"]
+            ]
+            assert wal["enqueue"]
+            wal_path.write_text(engine_module.canonical_dumps(wal))
+            engine = ClearingEngine(tmp_path / name)
+        engine.run()
+    older, control = store_bytes(tmp_path / "older"), store_bytes(tmp_path / "control")
+    assert older.pop("epochs/00000/applied.json") != control.pop("epochs/00000/applied.json")
+    assert older == control  # the same ledger and the same next-epoch pool
+    assert pool_contents(ClearingEngine(tmp_path / "older")._pool(1)) == pool_contents(
+        ClearingEngine(tmp_path / "control")._pool(1)
+    )
 
 
 def store_bytes(store: Path) -> dict[str, bytes]:
@@ -835,7 +932,7 @@ def test_a_crash_at_any_store_write_then_a_retry_gives_the_uncrashed_bytes(
 
 # The SHA-256 of the two-epoch store's files, sorted by path; a change of store format
 # changes it, and says so.
-TWO_EPOCH_STORE_SHA256 = "297e852970da8d122ff9b7e8f42b35160028ceef2ad984416d944e511e78ae9e"
+TWO_EPOCH_STORE_SHA256 = "10b988c7efdd0a0a947b5a0c8a39298a7d8184251c868e2d58b7c79a5e5086bd"
 
 
 def test_the_two_epoch_store_has_the_pinned_bytes(tmp_path: Path, monkeypatch) -> None:
@@ -887,7 +984,7 @@ def lifecycle_steps():
         submit(cycle_intents()[0]),  # same id, next epoch
         None,
         lambda engine: engine.freeze(),
-        lambda engine: engine.run(seed=7, _crash_after_wal=True),
+        lambda engine: crash_after_wal(engine, seed=7),
         lambda engine: engine.run(),  # replays the commit log
     ]
     return steps
@@ -1355,7 +1452,15 @@ def test_cli_lifecycle(tmp_path: Path, capsys) -> None:
     assert lines[0] == "key,value"
     assert "status,applied" in lines
     assert "cleared_debt,95" in lines
-    assert 'liquidity_used,{"UOA":25}' in lines
+    # A CSV reader gets two fields a row back, and each non-scalar value as its JSON.
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows)
+    values = dict(rows[1:])
+    assert values.keys() == report.keys()
+    assert json.loads(values["liquidity_used"]) == {"UOA": 25}
+    for key, value in report.items():
+        if not isinstance(value, (str, int)):
+            assert json.loads(values[key]) == value, key
 
 
 def test_cli_errors_are_json_on_stderr(tmp_path: Path, capsys) -> None:
@@ -1398,11 +1503,35 @@ def test_cli_names_a_corrupt_store_file(tmp_path: Path, capsys, name: str, corru
     assert error["detail"].startswith(f"{path}: ")
 
 
+def test_cli_names_a_truncated_report(tmp_path: Path, capsys) -> None:
+    engine = funded_cycle_engine(tmp_path / "s")
+    engine.freeze()
+    engine.run()
+    path = engine._epoch_dir(0) / "report.json"
+    path.write_text(path.read_text()[:-20])
+    code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), "report")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{path}: JSONDecodeError")
+
+
+def test_a_truncated_flow_is_named(tmp_path: Path) -> None:
+    engine = funded_cycle_engine(tmp_path / "s")
+    engine.freeze()
+    engine.run()
+    path = engine._epoch_dir(0) / "flow.json"
+    path.write_text(path.read_text()[:-20])
+    with pytest.raises(StateError) as info:
+        ClearingEngine(tmp_path / "s").flow(0)
+    assert str(info.value).startswith(f"{path}: JSONDecodeError")
+
+
 def test_a_corrupt_commit_log_is_named_on_replay(tmp_path: Path, capsys) -> None:
     engine = funded_cycle_engine(tmp_path / "s")
     engine.freeze()
     with pytest.raises(RuntimeError):
-        engine.run(_crash_after_wal=True)
+        crash_after_wal(engine)
     wal_path = engine._epoch_dir(0) / "applied.json"
     wal_path.write_text(wal_path.read_text()[:-20])
     code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), "run")

@@ -17,6 +17,7 @@ from setoff import (
     TenderKind,
     aggregate,
     compute_nid,
+    kernel,
 )
 from setoff.experiments import (
     CURVE_CSV_HEADER,
@@ -31,7 +32,7 @@ from setoff.experiments import (
 from setoff.graph import build_network, dump_graph
 from setoff.solver import solve_network
 
-from support import HUB, UNIT, add_signed, cycle_pool, make_pool
+from support import HUB, UNIT, add_signed, counting_calls, cycle_pool, make_pool
 
 
 # --- generation -------------------------------------------------------------------
@@ -83,6 +84,14 @@ def test_generate_parameter_errors() -> None:
         generate(SyntheticGraphConfig(nodes=3, edges=7))
     with pytest.raises(GraphBuildError, match="unknown amount_dist"):
         generate(SyntheticGraphConfig(nodes=3, edges=3, amount_dist="zipf"))
+
+
+@pytest.mark.parametrize("edges", [0, 3])
+def test_generate_refuses_an_unknown_amount_dist_before_drawing(monkeypatch, edges: int) -> None:
+    rngs = counting_calls(monkeypatch, random, "Random")
+    with pytest.raises(GraphBuildError, match="unknown amount_dist 'bogus'"):
+        generate(SyntheticGraphConfig(nodes=3, edges=edges, amount_dist="bogus"))
+    assert rngs == []
 
 
 def test_config_from_obj_rejects_unknown_fields() -> None:
@@ -202,23 +211,38 @@ def test_curve_rejects_negative_budget() -> None:
 
 
 def reference_point(g, fraction: float) -> MultiplierPoint:
-    """The point from one full solve at the fraction's floored budget."""
+    """The point from the kernel's per-arc flows, solved at the fraction's floored budget.
+
+    It reads the obligation arcs' flows straight from one kernel call on the
+    lowered network, not the records of the settlement flow the sweep reads.
+    """
     total = g.total_debt()
     budget = int(fraction * total)
-    _, solution = solve_network(build_network(g, budget=budget))
+    net = build_network(g, budget=budget)
+    ob_flows = kernel.solve_min_cost(
+        len(net.nodes),
+        [(a.tail, a.head, a.cap) for a in net.ob_arcs],
+        [
+            ([(a.node, a.cap, a.pot) for a in stage.tender_arcs],
+             [(a.node, a.cap, a.pot) for a in stage.accept_arcs],
+             [pot.cap for pot in stage.pots])
+            for stage in net.stages
+        ],
+        net.budget,
+    )[1]
     by_debtor: dict[str, int] = {}
+    for arc, flow in zip(net.ob_arcs, ob_flows):
+        by_debtor[arc.debtor] = by_debtor.get(arc.debtor, 0) + flow
     payables: dict[str, int] = {}
-    for (debtor, creditor), edge in g.edges.items():
+    for (debtor, _), edge in g.edges.items():
         payables[debtor] = payables.get(debtor, 0) + edge.amount
-        flow = solution.arc_flows.get(f"ob:{debtor}>{creditor}", 0)
-        if flow:
-            by_debtor[debtor] = by_debtor.get(debtor, 0) + flow
+    cleared = sum(ob_flows)
     avg_ap = sum(by_debtor.get(d, 0) / p for d, p in payables.items() if p) / len(payables)
     return MultiplierPoint(
         liquidity_fraction=fraction,
         budget=budget,
-        cleared_debt=solution.cleared_debt,
-        debt_cleared_fraction=solution.cleared_debt / total,
+        cleared_debt=cleared,
+        debt_cleared_fraction=cleared / total,
         avg_ap_cleared_fraction=avg_ap,
     )
 

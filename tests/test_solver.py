@@ -40,26 +40,29 @@ from support import (
 )
 
 
-def tender_flows(solution) -> dict[str, int]:
-    return {k: v for k, v in solution.arc_flows.items() if k.startswith(("t:", "tender:"))}
+def tender_flows(flow) -> dict[str, int]:
+    """Unit flow per tender: the amount both records of its pair carry."""
+    return {
+        r.edge_ref: r.amount for r in flow.records if r.edge_ref.startswith(("t:", "tender:"))
+    }
 
 
 # --- cycle component -----------------------------------------------------------
 
 
 def test_cancel_cycles_three_firm_cycle() -> None:
-    net = build_network(aggregate(cycle_pool()))
-    sol = cancel_cycles(net)
-    assert sol.arc_flows == {"ob:A>B": 20, "ob:B>C": 20, "ob:C>A": 20}
-    assert sol.cleared_debt == 60
-    assert sol.liquidity_used == {}
+    g = aggregate(cycle_pool())
+    sol = cancel_cycles(build_network(g))
+    assert sol == {("A", "B"): 20, ("B", "C"): 20, ("C", "A"): 20}
+    assert sum(sol.values()) == 60
+    assert sol.keys() <= g.edges.keys()  # obligation arcs only: no liquidity
 
 
 def test_cancel_cycles_acyclic_graph_clears_nothing() -> None:
     net = build_network(aggregate(chain_pool(3)))
     sol = cancel_cycles(net)
-    assert sol.cleared_debt == 0
-    assert sol.arc_flows == {}
+    assert sum(sol.values()) == 0
+    assert sol == {}
 
 
 def test_cancel_cycles_two_cycle() -> None:
@@ -67,8 +70,8 @@ def test_cancel_cycles_two_cycle() -> None:
     add_signed(pool, Obligation(id="o1", debtor="a", creditor="b", amount=20, unit=UNIT))
     add_signed(pool, Obligation(id="o2", debtor="b", creditor="a", amount=45, unit=UNIT))
     sol = cancel_cycles(build_network(aggregate(pool)))
-    assert sol.cleared_debt == 40
-    assert sol.arc_flows == {"ob:a>b": 20, "ob:b>a": 20}
+    assert sum(sol.values()) == 40
+    assert sol == {("a", "b"): 20, ("b", "a"): 20}
 
 
 def test_cancel_cycles_preserves_net_positions() -> None:
@@ -76,8 +79,7 @@ def test_cancel_cycles_preserves_net_positions() -> None:
         g = generate(SyntheticGraphConfig(nodes=8, edges=20, seed=seed))
         sol = cancel_cycles(build_network(g))
         delta: dict[str, int] = {}
-        for key, f in sol.arc_flows.items():
-            debtor, creditor = key.removeprefix("ob:").split(">")
+        for (debtor, creditor), f in sol.items():
             delta[debtor] = delta.get(debtor, 0) - f
             delta[creditor] = delta.get(creditor, 0) + f
         assert all(v == 0 for v in delta.values()), f"seed {seed}: {delta}"
@@ -106,8 +108,8 @@ def test_solve_cycle_full_budget() -> None:
     flow, sol = solve_network(net)
     assert sol.cleared_debt == 95
     assert sol.liquidity_used == {UNIT: 25}
-    assert sol.arc_flows["t:B"] == 10
-    assert sol.arc_flows["t:C"] == 15
+    assert tender_flows(flow)["t:B"] == 10
+    assert tender_flows(flow)["t:C"] == 15
     # Both tenders exit at A, the one net creditor.
     moved = {(t.payer, t.payee): t.amount for t in flow.transfers}
     assert moved == {("B", "A"): 10, ("C", "A"): 15}
@@ -133,7 +135,7 @@ def test_solve_p2p_loan_without_assets() -> None:
     # The draw exits at carol, its own facility, and feeds her pot back: it
     # is no new money, and no transfer is needed.
     assert sol.liquidity_used == {}
-    assert sol.arc_flows["t:draw"] == 10
+    assert tender_flows(flow)["t:draw"] == 10
     assert flow.transfers == ()
     assert is_valid_flow(g, flow, ledger).ok
 
@@ -207,7 +209,7 @@ def test_solve_settleable_clamps_only_overdrawn_payers() -> None:
     assert is_valid_flow(g, flow, ledger).ok
     assert sol.cleared_debt == 80
     assert sol.liquidity_used == {}
-    assert tender_flows(sol) == {"t:draw": 10}
+    assert tender_flows(flow) == {"t:draw": 10}
     assert flow.transfers == ()
 
 
@@ -351,8 +353,12 @@ def test_solution_accounting_consistent() -> None:
             generate(SyntheticGraphConfig(nodes=9, edges=25, seed=seed))
         )
         nid = compute_nid(g)
-        _, sol = solve_network(build_network(g, budget=nid // 2))
-        ob_total = sum(v for k, v in sol.arc_flows.items() if k.startswith("ob:"))
+        flow, sol = solve_network(build_network(g, budget=nid // 2))
+        obligations = g.pool.obligations
+        ob_total = sum(  # the debtor's record of each discharged part
+            r.amount for r in flow.records
+            if r.edge_ref in obligations and r.party == obligations[r.edge_ref].debtor
+        )
         assert ob_total == sol.cleared_debt
         spent = sum(sol.liquidity_used.values())
         assert spent <= nid // 2

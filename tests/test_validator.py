@@ -6,10 +6,13 @@ from dataclasses import replace
 import pytest
 
 from setoff import (
+    Acceptance,
     AcceptanceKind,
     Ledger,
     SettlementFlow,
     SettlementRecord,
+    Tender,
+    TenderKind,
     Transfer,
     aggregate,
     build_network,
@@ -32,6 +35,7 @@ from setoff.validate import (
 from support import (
     HUB,
     UNIT,
+    add_signed,
     cycle_pool,
     funded_ledger,
     make_pool,
@@ -228,6 +232,41 @@ def test_unascertained_intent_is_rejected() -> None:
     v = first_violation(g, flow)
     assert v.check == "Ascertainment"
     assert v.ids == ("ob:forged",)
+
+
+def test_obligation_outside_the_epoch_unit_carries_no_flow() -> None:
+    pool = cycle_pool(with_tenders=True)
+    add_signed(pool, Obligation(id="ob:eur", debtor="A", creditor="B", amount=20, unit="EURX"))
+    g = aggregate(pool)
+    flow, _ = solve_network(build_network(g, budget=25), epoch_id=1)
+    assert is_valid_flow(g, flow).ok
+    # Move ob0's pair, A->B 20, onto the same debt owed in another unit.
+    for party in ("A", "B"):
+        flow = mutate(flow, record_index(flow, "ob0", party), edge_ref="ob:eur")
+    v = first_violation(g, flow)
+    assert (v.check, v.ids, v.detail) == (
+        "SubsetFlow", ("ob:eur",), "obligation unit EURX is not the epoch unit UOA"
+    )
+
+
+def test_issuer_taking_its_own_deposits_is_one_outflow() -> None:
+    # A pays its debt to the hub with a hub tender; the hub takes the units
+    # back as a deposit at itself. Both records of that pair name the hub.
+    pool = make_pool("A", default_source=None)
+    add_signed(pool, Obligation(id="ob:A", debtor="A", creditor=HUB, amount=10, unit=UNIT))
+    add_signed(pool, Tender(id="t:A", sender="A", source=HUB,
+                            kind=TenderKind.ASSIGNMENT, max_amount=10))
+    add_signed(pool, Acceptance(id="acc:hub", origin=HUB, target=HUB,
+                                kind=AcceptanceKind.DEPOSIT, currency=UNIT, limit=None))
+    g = aggregate(pool)
+    flow, _ = solve_network(build_network(g))
+    pair = [i for i, r in enumerate(flow.records) if r.edge_ref == "acc:hub"]
+    assert [flow.records[i].party for i in pair] == [HUB, HUB]
+    assert is_valid_flow(g, flow).ok
+    for i in pair:
+        flow = mutate(flow, i, amount=flow.records[i].amount + 1)
+    v = first_violation(g, flow)
+    assert (v.check, v.ids, v.detail) == ("BalancedFlow", (HUB,), "receives 10 but pays 11")
 
 
 def test_repayment_acceptance_carries_no_flow() -> None:
