@@ -4,7 +4,7 @@ The core pipeline:
 
     pool = EpochPool(...); pool.add(intent); ...
     g = aggregate(pool)
-    flow = solve(g, budget=..., ledger=ledger)
+    flow, solution = solve_settleable(g, budget=..., ledger=ledger)
     applied = apply_flow(ledger, flow, g)  # validates; raises InvalidFlow
 
 `ClearingEngine` wraps the pipeline in a persistent, crash-safe epoch state
@@ -59,7 +59,6 @@ from .graph import (
 from .solver import (
     FlowSolution,
     cancel_cycles,
-    solve,
     solve_network,
     solve_settleable,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "multiplier_curve",
     "net_positions",
     "notices_to_csv",
-    "solve",
     "solve_network",
     "solve_settleable",
     "verify_ascertainment",

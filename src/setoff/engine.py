@@ -33,7 +33,11 @@ naming the file and line. A store that keeps its keys in the older
 not open as a store, and a second ``init`` there completes it.
 ``run`` writes the full outcome to ``applied.json`` first and only then
 mutates ledger and state; a crash at any point either leaves the old state
-intact or leaves a complete commit log that the next ``run`` replays. The
+intact or leaves a complete commit log that the next ``run`` replays. A
+commit log of an applied epoch without its ledger or notices is a
+``StateError`` naming it, raised before any write. After each epoch,
+applied or failed, every repayment obligation (an ``ob:od:`` id) still open
+in the ledger re-enters the next epoch's pool at its open amount. The
 store has a single writer, because an engine reads each store file once and
 then keeps the open pools and the keys in memory; concurrent readers see
 complete snapshots. Nothing enforces the single writer yet: a second engine
@@ -143,8 +147,19 @@ def _parse_state(obj) -> tuple[int, str]:
     return epoch, phase
 
 
+def _check_quota(quota) -> None:
+    """A quota per agent is None or a non-negative int; a bool is not one."""
+    if quota is None:
+        return
+    if not isinstance(quota, int) or isinstance(quota, bool):
+        raise StateError(f"quota per agent must be an integer or None, got {quota!r}")
+    if quota < 0:
+        raise StateError(f"quota per agent must be >= 0, got {quota}")
+
+
 def _parse_config(obj) -> dict:
     _config_pool(obj)  # refuses a config missing a key, or one the pool refuses
+    _check_quota(obj.get("quota_per_agent"))
     return obj
 
 
@@ -157,6 +172,10 @@ def _parse_report(obj) -> dict:
 def _parse_wal(obj) -> dict:
     if not {"epoch", "flow", "report", "status"} <= obj.keys():
         raise ValueError("not a whole commit log")
+    if obj["status"] == "applied":  # an applied epoch carries its settlement
+        Ledger.from_obj(obj["ledger"])
+        if not isinstance(obj["notices_csv"], str):
+            raise ValueError("notices_csv is not text")
     return obj
 
 
@@ -278,8 +297,7 @@ class ClearingEngine:
             "quota_per_agent": quota_per_agent,
         }
         # Refuse what the store could never open or settle before anything is written.
-        if quota_per_agent is not None and quota_per_agent < 0:
-            raise StateError(f"quota per agent must be >= 0, got {quota_per_agent}")
+        _check_quota(quota_per_agent)
         pool = _config_pool(config)
         config["currencies"] = pool.currencies
         ledger = Ledger(balances=opening_balances or {})
@@ -490,12 +508,12 @@ class ClearingEngine:
             _write_atomic(epoch_dir / "notices.csv", wal["notices_csv"])
             _write_atomic(self.store / "ledger.json", canonical_dumps(wal["ledger"]))
             self.ledger = Ledger.from_obj(wal["ledger"])
-            next_pool = self._pool(epoch + 1)
-            for ob_id in wal["report"]["new_obligations"]:
-                if next_pool.get(ob_id) is None:
-                    ob = self.ledger.open_obligations[ob_id]
-                    self._append_pool_line(epoch + 1, intent_to_obj(ob))
-                    next_pool.add(ob, preverified=True)
+        # Every open repayment, new or left over, clears again in the next epoch.
+        next_pool = self._pool(epoch + 1)
+        for ob_id, ob in sorted(self.ledger.open_obligations.items()):
+            if ob_id.startswith(NEW_OBLIGATION_PREFIX) and next_pool.get(ob_id) is None:
+                self._append_pool_line(epoch + 1, intent_to_obj(ob))
+                next_pool.add(ob, preverified=True)
         self._pools.pop(epoch, None)
         self._pool_files.pop(epoch, None)
         self.epoch = epoch + 1

@@ -129,14 +129,13 @@ def generate(config: SyntheticGraphConfig) -> ObligationGraph:
 def attach_default_liquidity(
     g: ObligationGraph,
     placement: str = "net_debtors",
-    max_amount: int | None = None,
 ) -> ObligationGraph:
     """Rebuild the graph with assignment tenders of the default source added.
 
     ``net_debtors`` places one tender per net debtor, capped at its net debit
-    (the NID construction); ``all`` places one at every firm, capped at
-    ``max_amount`` (default: the total debt). Acceptances are the implicit
-    unlimited ones of the default source.
+    (the NID construction); ``all`` places one at every firm, capped at the
+    total debt. Acceptances are the implicit unlimited ones of the default
+    source.
     """
     pool = g.pool
     if pool.default_source is None:
@@ -159,7 +158,7 @@ def attach_default_liquidity(
     if placement == "net_debtors":
         chosen = [(a, -p.net) for a, p in sorted(positions.items()) if p.net < 0]
     elif placement == "all":
-        cap = g.total_debt() if max_amount is None else max_amount
+        cap = g.total_debt()
         chosen = [(a, cap) for a in sorted(positions) if a not in issuers]
     else:
         raise GraphBuildError(f"unknown placement {placement!r}")
@@ -208,9 +207,7 @@ def multiplier_curve(
     budgets are floor(fraction * total debt).
     """
     total = g.total_debt()
-    payables: dict[str, int] = {}
-    for (debtor, _), edge in g.edges.items():
-        payables[debtor] = payables.get(debtor, 0) + edge.amount
+    payables = {a: p.payables for a, p in sorted(net_positions(g).items()) if p.payables}
     points = []
     for fraction in fractions:
         if not math.isfinite(fraction) or fraction < 0:
@@ -219,7 +216,7 @@ def multiplier_curve(
         cleared, by_debtor = _solve_point(g, budget)
         if payables:
             avg_ap = sum(
-                by_debtor.get(d, 0) / p for d, p in payables.items() if p
+                by_debtor.get(d, 0) / p for d, p in payables.items()
             ) / len(payables)
         else:
             avg_ap = 0.0

@@ -310,9 +310,6 @@ class Ledger:
             ledger.open_obligations[ob_id] = ob
         return ledger
 
-    def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_obj(), separators=(",", ":"), sort_keys=True).encode()
-
 
 # --- canonical serialization -------------------------------------------------
 

@@ -5,11 +5,12 @@ flow is exactly a maximum-discharge settlement, and liquidity is only ever
 injected along paths that clear at least as much debt as they spend.
 
 ``cancel_cycles`` computes the pure set-off component (no liquidity) on its
-own. ``solve`` makes one kernel call, whose phase 1 cancels the cycles and
-whose phase 2 adds the budgeted chains, and renders the result as a
-settlement flow with paired records and direct transfers. Given a ledger,
-``build_network`` bounds each payer's new money by its balance in the
-network itself, so one solve gives a flow that overdraws nobody.
+own. ``solve_settleable`` makes one kernel call, whose phase 1 cancels the
+cycles and whose phase 2 adds the budgeted chains, and ``solve_network``
+renders the result as a settlement flow with paired records and direct
+transfers. Given a ledger, ``build_network`` bounds each payer's new money
+by its balance in the network itself, so one solve gives a flow that
+overdraws nobody.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ def _pair(
         ai += a[1] == 0
 
 
+def _record_pair(
+    edge_ref: str, first: AgentId, second: AgentId, amount: int,
+    currency_amount: tuple[int, str] | None = None,
+) -> tuple[SettlementRecord, SettlementRecord]:
+    """The two records of one settled edge, one per party, in that order."""
+    return (
+        SettlementRecord(edge_ref, first, amount, currency_amount),
+        SettlementRecord(edge_ref, second, amount, currency_amount),
+    )
+
+
 def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, FlowSolution]:
     """Full solve on a prepared network; returns the flow and the solver view.
 
@@ -104,8 +116,7 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
                 break
             take = min(remaining, pool.obligations[ob_id].amount)
             remaining -= take
-            records.append(SettlementRecord(edge_ref=ob_id, party=edge.debtor, amount=take))
-            records.append(SettlementRecord(edge_ref=ob_id, party=edge.creditor, amount=take))
+            records += _record_pair(ob_id, edge.debtor, edge.creditor, take)
 
     transfers: dict[tuple[str, str, str], int] = {}
     liquidity: dict[str, int] = {}
@@ -158,45 +169,11 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
                 transfers[key] = transfers.get(key, 0) + converted
 
         for t_edge, flow in tender_used:
-            currency_amount = (
-                (floor_div_price(flow, t_edge.price), stage.currency) if foreign else None
-            )
-            records.append(
-                SettlementRecord(
-                    edge_ref=t_edge.tender_id,
-                    party=t_edge.issuer,
-                    amount=flow,
-                    currency_amount=currency_amount,
-                )
-            )
-            records.append(
-                SettlementRecord(
-                    edge_ref=t_edge.tender_id,
-                    party=t_edge.sender,
-                    amount=flow,
-                    currency_amount=currency_amount,
-                )
-            )
+            moved = (floor_div_price(flow, t_edge.price), stage.currency) if foreign else None
+            records += _record_pair(t_edge.tender_id, t_edge.issuer, t_edge.sender, flow, moved)
         for a_edge, flow in accept_used:
-            currency_amount = (
-                (received.get(a_edge.edge_id, 0), stage.currency) if foreign else None
-            )
-            records.append(
-                SettlementRecord(
-                    edge_ref=a_edge.edge_id,
-                    party=a_edge.origin,
-                    amount=flow,
-                    currency_amount=currency_amount,
-                )
-            )
-            records.append(
-                SettlementRecord(
-                    edge_ref=a_edge.edge_id,
-                    party=a_edge.issuer,
-                    amount=flow,
-                    currency_amount=currency_amount,
-                )
-            )
+            moved = (received.get(a_edge.edge_id, 0), stage.currency) if foreign else None
+            records += _record_pair(a_edge.edge_id, a_edge.origin, a_edge.issuer, flow, moved)
 
     flow = SettlementFlow(
         epoch_id=epoch_id,
@@ -211,39 +188,24 @@ def solve_network(net: FlowNetwork, epoch_id: int = 0) -> tuple[SettlementFlow, 
 
 def solve_settleable(
     g: ObligationGraph,
-    budget: int | None,
-    ledger: Ledger,
+    budget: int | None = None,
+    ledger: Ledger | None = None,
     *,
     epoch_id: int = 0,
     seed: int | None = None,
 ) -> tuple[SettlementFlow, FlowSolution]:
-    """Solve so the result can be applied to ``ledger`` as-is.
+    """Clear an obligation graph so the flow can be applied to ``ledger`` as-is.
 
-    One lowering and one kernel call. ``build_network`` gives every payer
-    whose balance can bind a pot capped by that balance, and every
-    credit-line facility a pot its own receipts feed back, so no flow of
-    the network overdraws a payer and the kernel's optimum is the most debt
-    a settleable flow clears. A ledger that already overdraws a non-issuer
-    still overdraws it, and ``apply_flow``, which runs all five checks,
-    refuses that flow.
+    One lowering and one kernel call, whose phase 1 cancels the cycles and
+    whose phase 2 adds the chains the budget funds. ``build_network`` gives
+    every payer whose balance can bind a pot capped by that balance, and
+    every credit-line facility a pot its own receipts feed back, so no flow
+    of the network overdraws a payer and the kernel's optimum is the most
+    debt a settleable flow clears. Without a ledger no balance binds. A
+    ledger that already overdraws a non-issuer still overdraws it, and
+    ``apply_flow``, which runs all five checks, refuses that flow. ``seed``
+    picks deterministically among equally optimal flows.
     """
     net = build_network(g, budget=budget, seed=seed, ledger=ledger)
     return solve_network(net, epoch_id=epoch_id)
 
-
-def solve(
-    g: ObligationGraph,
-    budget: int | None = None,
-    *,
-    ledger: Ledger | None = None,
-    epoch_id: int = 0,
-    seed: int | None = None,
-) -> SettlementFlow:
-    """Clear an obligation graph: set-off cycles first, then budgeted chains.
-
-    When ``ledger`` is given, the output is settleable against it as-is.
-    ``seed`` picks deterministically among equally optimal flows.
-    """
-    net = build_network(g, budget=budget, seed=seed, ledger=ledger)
-    flow, _ = solve_network(net, epoch_id=epoch_id)
-    return flow

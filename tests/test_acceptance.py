@@ -24,8 +24,8 @@ from setoff import (
     ascertain,
     build_network,
     compute_nid,
-    solve,
 )
+from setoff.engine import canonical_dumps
 from setoff.experiments import (
     SyntheticGraphConfig,
     attach_default_liquidity,
@@ -35,7 +35,7 @@ from setoff.experiments import (
 )
 from setoff.model import intent_to_obj
 from setoff.settle import apply_flow
-from setoff.solver import solve_network
+from setoff.solver import solve_network, solve_settleable
 from setoff.validate import is_valid_flow
 
 from support import HUB, UNIT, chain_pool, cycle_pool, funded_ledger, key_of, p2p_loan_pool
@@ -73,7 +73,7 @@ def test_acceptance_1_three_firm_cycle(capsys) -> None:
     best = float("inf")
     for _ in range(30):
         t0 = time.perf_counter()
-        solve(g, budget=0)
+        solve_settleable(g, budget=0)
         best = min(best, time.perf_counter() - t0)
     problems = []
     if sol.cleared_debt != 60:
@@ -104,7 +104,7 @@ def test_acceptance_2_chain_single_transfer(capsys) -> None:
 def test_acceptance_3_credit_line_cycle(capsys) -> None:
     g = aggregate(p2p_loan_pool())
     ledger = settle_ready(g)
-    flow = solve(g, ledger=ledger)
+    flow = solve_settleable(g, ledger=ledger)[0]
     applied = apply_flow(ledger, flow, g)
     problems = []
     if applied.cleared_debt != g.total_debt() or applied.cleared_debt != 20:
@@ -285,20 +285,20 @@ def test_acceptance_9_atomic_settlement(capsys) -> None:
     cases = []
     g = aggregate(cycle_pool(with_tenders=True))
     led = settle_ready(g, ("B", UNIT, 10), ("C", UNIT, 15))
-    cases.append((g, led, solve(g, 25, ledger=led)))
+    cases.append((g, led, solve_settleable(g, 25, led)[0]))
     g = aggregate(chain_pool(3))
     led = settle_ready(g, ("F0", UNIT, 20))
-    cases.append((g, led, solve(g, ledger=led)))
+    cases.append((g, led, solve_settleable(g, ledger=led)[0]))
     g = aggregate(p2p_loan_pool())
     led = settle_ready(g)
-    cases.append((g, led, solve(g, ledger=led)))
+    cases.append((g, led, solve_settleable(g, ledger=led)[0]))
     for seed in range(6):
         g = attach_default_liquidity(generate(SyntheticGraphConfig(
             nodes=8, edges=20, seed=seed
         )))
         total = g.total_debt()
         led = settle_ready(g, *((a, UNIT, total) for a in g.nodes))
-        cases.append((g, led, solve(g, compute_nid(g), ledger=led)))
+        cases.append((g, led, solve_settleable(g, compute_nid(g), led)[0]))
 
     class Injected(Exception):
         pass
@@ -310,7 +310,7 @@ def test_acceptance_9_atomic_settlement(capsys) -> None:
         apply_flow(ledger.copy(), flow, g, failpoint=labels.append)
         for stop in labels:
             victim = ledger.copy()
-            before = victim.canonical_bytes()
+            before = canonical_dumps(victim.to_obj())
 
             def tripwire(label: str, stop=stop) -> None:
                 if label == stop:
@@ -319,7 +319,7 @@ def test_acceptance_9_atomic_settlement(capsys) -> None:
             trials += 1
             with pytest.raises(Injected):
                 apply_flow(victim, flow, g, failpoint=tripwire)
-            if victim.canonical_bytes() != before:
+            if canonical_dumps(victim.to_obj()) != before:
                 problems.append(f"case {case_no} label {stop}: ledger changed")
     ok = trials >= 50 and not problems
     announce(capsys, 9, "atomic settlement under fault injection", ok)

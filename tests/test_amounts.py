@@ -18,10 +18,9 @@ from setoff import (
     build_network,
     compute_nid,
     is_valid_flow,
-    solve,
     solve_settleable,
 )
-from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
+from setoff.experiments import SyntheticGraphConfig, generate
 from setoff.model import MAX_AMOUNT, ascertain
 from setoff.settle import NEW_OBLIGATION_PREFIX
 from setoff.solver import solve_network
@@ -47,7 +46,7 @@ def test_two_chains_into_one_creditor_settle_a_flow_past_the_bound() -> None:
                                 kind=TenderKind.ASSIGNMENT, max_amount=BIG))
     g = aggregate(pool)
     ledger = funded_ledger(("A", UNIT, BIG), ("B", UNIT, BIG))
-    flow = solve(g, ledger=ledger)
+    flow = solve_settleable(g, ledger=ledger)[0]
     (exit_record,) = {r.amount for r in flow.records if r.edge_ref == "accept:default:C"}
     assert exit_record == 2 * BIG > MAX_AMOUNT
     assert is_valid_flow(g, flow, ledger).ok
@@ -100,12 +99,17 @@ SCALE = 2**60
 
 
 def scaled(g, factor: int):
-    """The graph's pool again, with every obligation amount times ``factor``."""
+    """The graph's pool again, every obligation amount times ``factor``, and at
+    every firm an assignment tender of the default source capped at ``7 * factor``."""
     pool = g.pool
     out = EpochPool(unit=pool.unit, currencies=pool.currencies,
                     default_source=pool.default_source, registry=pool.registry)
     for ob in pool.obligations.values():
         out.add(ascertain(replace(ob, amount=ob.amount * factor), pool.registry))
+    for firm in g.nodes:
+        if pool.asset_of(firm) is None:
+            out.add(Tender(id=f"tender:default:{firm}", sender=firm, source=pool.default_source,
+                           kind=TenderKind.ASSIGNMENT, max_amount=7 * factor), preverified=True)
     return aggregate(out)
 
 
@@ -123,8 +127,7 @@ def test_clearing_scales_exactly_past_the_bound() -> None:
                                       seed=seed, amount_low=1, amount_high=7)
         base = generate(config)
         big = scaled(base, SCALE)
-        base = attach_default_liquidity(base, placement="all", max_amount=7)
-        big = attach_default_liquidity(big, placement="all", max_amount=7 * SCALE)
+        base = scaled(base, 1)
         assert big.total_debt() == SCALE * base.total_debt()
         assert compute_nid(big) == SCALE * compute_nid(base)
         budget = compute_nid(base) // 2

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -112,6 +113,12 @@ def tamper_flows(monkeypatch, hook) -> None:
     monkeypatch.setattr(engine_module, "solve_settleable", solve)
 
 
+def inflate_first_record(flow):
+    records = list(flow.records)
+    records[0] = replace(records[0], amount=records[0].amount + 1)
+    return replace(flow, records=tuple(records))
+
+
 # --- store lifecycle ---------------------------------------------------------
 
 
@@ -159,6 +166,19 @@ def test_init_refuses_a_negative_quota_before_any_write(tmp_path: Path) -> None:
     engine = make_engine(tmp_path / "s", quota_per_agent=0)
     with pytest.raises(QuotaExceeded, match="B already holds 0 intents"):
         submit_signed(engine, Obligation(id="o", debtor="B", creditor="A", amount=1, unit=UNIT))
+
+
+@pytest.mark.parametrize("quota", ["5", 1.5, True])
+def test_a_quota_that_is_not_a_count_is_refused(tmp_path: Path, quota) -> None:
+    with pytest.raises(StateError, match="quota per agent must be an integer or None"):
+        make_engine(tmp_path / "s", quota_per_agent=quota)
+    assert not (tmp_path / "s" / "config.json").exists()
+    make_engine(tmp_path / "s", quota_per_agent=2)
+    config_path = tmp_path / "s" / "config.json"
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**config, "quota_per_agent": quota}))
+    with pytest.raises(StateError, match=f"^{re.escape(str(config_path))}: StateError: quota"):
+        ClearingEngine(tmp_path / "s")
 
 
 def init_files(store: Path) -> dict[str, bytes | None]:
@@ -530,6 +550,43 @@ def test_overdraft_creates_next_epoch_obligation(tmp_path: Path) -> None:
     assert second["excluded"] == []
     assert engine.ledger.open_obligations[new_id].amount == 10
 
+    # Left open, it clears again in the next epoch, where a cycle discharges it.
+    assert engine._pool(2).get(new_id) == engine.ledger.open_obligations[new_id]
+    submit_signed(engine, Obligation(id="ob:ca", debtor="carol", creditor="alice",
+                                     amount=10, unit=UNIT))
+    engine.freeze()
+    third = engine.run()
+    assert third["status"] == "applied"
+    assert third["discharged"] == {new_id: 10, "ob:ca": 10}
+    assert engine.ledger.open_obligations == {}
+    assert (tmp_path / "s" / "epochs" / "00003" / "pool.jsonl").read_text() == ""
+
+
+def test_a_failed_epoch_queues_its_repayments_again(tmp_path: Path, monkeypatch) -> None:
+    engine = make_engine(tmp_path / "s")
+    for intent in loan_intents():
+        submit_signed(engine, intent)
+    engine.freeze()
+    engine.run()
+    new_id = f"{NEW_OBLIGATION_PREFIX}0:t:draw:acc:loan"
+    cycle = Obligation(id="ob:ca", debtor="carol", creditor="alice", amount=10, unit=UNIT)
+    submit_signed(engine, cycle)
+    engine.freeze()
+
+    with monkeypatch.context() as m:
+        tamper_flows(m, inflate_first_record)
+        assert engine.run()["status"] == "failed"
+    queued = (tmp_path / "s" / "epochs" / "00002" / "pool.jsonl").read_text()
+    repayment = engine.ledger.open_obligations[new_id]
+    assert queued == engine_module.canonical_dumps(intent_to_obj(repayment))
+    assert ClearingEngine(tmp_path / "s")._pool(2).get(new_id).amount == 10
+
+    submit_signed(engine, cycle)
+    engine.freeze()
+    report = engine.run()
+    assert report["discharged"] == {new_id: 10, "ob:ca": 10}
+    assert engine.ledger.open_obligations == {}
+
 
 def test_unpriced_foreign_tenders_are_excluded_not_fatal(tmp_path: Path) -> None:
     engine = make_engine(
@@ -629,12 +686,7 @@ def test_tampered_flow_marks_epoch_failed(tmp_path: Path, monkeypatch) -> None:
     engine.freeze()
     ledger_before = (tmp_path / "s" / "ledger.json").read_bytes()
 
-    def corrupt(flow):
-        records = list(flow.records)
-        records[0] = replace(records[0], amount=records[0].amount + 1)
-        return replace(flow, records=tuple(records))
-
-    tamper_flows(monkeypatch, corrupt)
+    tamper_flows(monkeypatch, inflate_first_record)
     report = engine.run(budget=25)
     assert report["status"] == "failed"
     assert report["violations"], "expected at least one named violation"
@@ -932,7 +984,7 @@ def test_a_crash_at_any_store_write_then_a_retry_gives_the_uncrashed_bytes(
 
 # The SHA-256 of the two-epoch store's files, sorted by path; a change of store format
 # changes it, and says so.
-TWO_EPOCH_STORE_SHA256 = "10b988c7efdd0a0a947b5a0c8a39298a7d8184251c868e2d58b7c79a5e5086bd"
+TWO_EPOCH_STORE_SHA256 = "b56e79d23739211a45537e00fd6d879e446ea91be3ec3cbdcf33c090904c8b06"
 
 
 def test_the_two_epoch_store_has_the_pinned_bytes(tmp_path: Path, monkeypatch) -> None:
@@ -1537,6 +1589,28 @@ def test_a_corrupt_commit_log_is_named_on_replay(tmp_path: Path, capsys) -> None
     code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), "run")
     assert (code, out) == (1, "")
     assert json.loads(err)["detail"].startswith(f"{wal_path}: JSONDecodeError")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda wal: wal.pop("ledger"),
+    lambda wal: wal.pop("notices_csv"),
+    lambda wal: wal.update(ledger=[]),
+], ids=["no_ledger", "no_notices", "ledger_not_an_object"])
+def test_a_commit_log_without_its_settlement_is_named_before_any_write(
+    tmp_path: Path, damage
+) -> None:
+    engine = funded_cycle_engine(tmp_path / "s")
+    engine.freeze()
+    with pytest.raises(RuntimeError):
+        crash_after_wal(engine)
+    wal_path = engine._epoch_dir(0) / "applied.json"
+    wal = json.loads(wal_path.read_text())
+    damage(wal)
+    wal_path.write_text(engine_module.canonical_dumps(wal))
+    before = store_bytes(tmp_path / "s")
+    with pytest.raises(StateError, match=f"^{re.escape(str(wal_path))}: "):
+        ClearingEngine(tmp_path / "s").run()
+    assert store_bytes(tmp_path / "s") == before
 
 
 def test_cli_init_refuses_a_negative_fund_and_leaves_the_path_free(

@@ -116,14 +116,10 @@ def test_attach_net_debtor_tenders_cover_nid() -> None:
 
 def test_attach_all_places_tenders_everywhere() -> None:
     g = generate(SyntheticGraphConfig(nodes=6, edges=10, seed=4))
-    equipped = attach_default_liquidity(g, placement="all", max_amount=7)
-    tenders = equipped.pool.tenders
+    tenders = attach_default_liquidity(g, placement="all").pool.tenders
     firms = [a for a in g.nodes if a != "liquidity_hub"]
     assert len(tenders) == len(firms)
-    assert all(t.max_amount == 7 for t in tenders.values())
-    defaulted = attach_default_liquidity(g, placement="all")
-    assert all(t.max_amount == g.total_debt()
-               for t in defaulted.pool.tenders.values())
+    assert all(t.max_amount == g.total_debt() for t in tenders.values())
 
 
 def test_attach_errors() -> None:

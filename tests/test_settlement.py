@@ -16,9 +16,9 @@ from setoff import (
     apply_flow,
     compute_nid,
     is_valid_flow,
-    solve,
     solve_settleable,
 )
+from setoff.engine import canonical_dumps
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.graph import build_network
 from setoff.settle import NEW_OBLIGATION_PREFIX, emit_notices, notices_to_csv
@@ -49,7 +49,7 @@ def open_pool_obligations(g) -> Ledger:
 def test_apply_chain_moves_money_end_to_end() -> None:
     g = aggregate(chain_pool(2))
     ledger = funded_ledger(("F0", UNIT, 20))
-    flow = solve(g, ledger=ledger)
+    flow = solve_settleable(g, ledger=ledger)[0]
     applied = apply_flow(ledger, flow, g)
     assert applied.cleared_debt == 40
     assert applied.balance_deltas == {("F0", UNIT): -20, ("F2", UNIT): 20}
@@ -80,17 +80,17 @@ def test_apply_p2p_loan_touches_no_balances() -> None:
 def test_apply_empty_flow_is_identity() -> None:
     g = aggregate(cycle_pool())
     ledger = funded_ledger(("A", UNIT, 5))
-    before = ledger.canonical_bytes()
+    before = canonical_dumps(ledger.to_obj())
     applied = apply_flow(ledger, SettlementFlow(epoch_id=0), g)
     assert applied.cleared_debt == 0
     assert applied.notices == ()
-    assert ledger.canonical_bytes() == before
+    assert canonical_dumps(ledger.to_obj()) == before
 
 
 def test_apply_partial_discharge_keeps_residual() -> None:
     g = aggregate(cycle_pool())
     ledger = open_pool_obligations(g)
-    flow = solve(g, budget=0)
+    flow = solve_settleable(g, budget=0)[0]
     applied = apply_flow(ledger, flow, g)
     assert applied.cleared_debt == 60
     assert "ob0" not in ledger.open_obligations  # fully cleared
@@ -119,7 +119,7 @@ def test_apply_issuer_pays_own_debt() -> None:
 
 def test_notices_frozen_for_partial_cycle() -> None:
     g = aggregate(cycle_pool())
-    flow = solve(g, budget=0)
+    flow = solve_settleable(g, budget=0)[0]
     notices = emit_notices(flow, g)
     assert [n.party for n in notices] == ["A", "B", "C"]
     entries = {
@@ -135,7 +135,7 @@ def test_notices_frozen_for_partial_cycle() -> None:
 
 def test_notices_csv_frozen_text() -> None:
     g = aggregate(cycle_pool())
-    flow = solve(g, budget=0)
+    flow = solve_settleable(g, budget=0)[0]
     assert notices_to_csv(emit_notices(flow, g)) == (
         "party,obligation_id,discharged,remaining\n"
         "A,ob0,20,0\n"
@@ -149,7 +149,7 @@ def test_notices_csv_frozen_text() -> None:
 
 def test_middle_of_chain_gets_both_sides() -> None:
     g = aggregate(chain_pool(2))
-    flow = solve(g)
+    flow = solve_settleable(g)[0]
     notices = {n.party: n for n in emit_notices(flow, g)}
     assert [e.obligation_id for e in notices["F1"].entries] == ["ob0", "ob1"]
 
@@ -199,7 +199,7 @@ def test_every_failpoint_leaves_ledger_untouched() -> None:
     cases = []
     g1 = aggregate(chain_pool(2))
     led1 = funded_ledger(("F0", UNIT, 20))
-    cases.append((g1, led1, solve(g1, ledger=led1)))
+    cases.append((g1, led1, solve_settleable(g1, ledger=led1)[0]))
     g2 = aggregate(p2p_loan_pool())
     led2 = Ledger()
     cases.append((g2, led2, solve_settleable(g2, None, led2)[0]))
@@ -210,7 +210,7 @@ def test_every_failpoint_leaves_ledger_untouched() -> None:
         assert labels[-1] == "commit"
         for stop in labels:
             victim = ledger.copy()
-            before = victim.canonical_bytes()
+            before = canonical_dumps(victim.to_obj())
 
             def tripwire(label: str, stop=stop) -> None:
                 if label == stop:
@@ -218,7 +218,7 @@ def test_every_failpoint_leaves_ledger_untouched() -> None:
 
             with pytest.raises(Boom):
                 apply_flow(victim, flow, g, failpoint=tripwire)
-            assert victim.canonical_bytes() == before, f"label {stop}"
+            assert canonical_dumps(victim.to_obj()) == before, f"label {stop}"
             tried += 1
     assert tried >= 6
 
@@ -238,15 +238,15 @@ def test_failpoint_labels_cover_every_step() -> None:
 
 def test_invalid_flow_rejected_before_any_mutation() -> None:
     g = aggregate(chain_pool(2))
-    flow = solve(g)  # unclamped: needs 20 from F0
+    flow = solve_settleable(g)[0]  # unclamped: needs 20 from F0
     ledger = funded_ledger(("F0", UNIT, 10))
-    before = ledger.canonical_bytes()
+    before = canonical_dumps(ledger.to_obj())
     with pytest.raises(InvalidFlow, match="flow failed validation") as info:
         apply_flow(ledger, flow, g)
     assert isinstance(info.value, SettlementError)
     assert info.value.report == is_valid_flow(g, flow, ledger)
     assert [v.check for v in info.value.report.violations] == ["NonNegativeBalance"]
-    assert ledger.canonical_bytes() == before
+    assert canonical_dumps(ledger.to_obj()) == before
 
 
 def test_conflicting_open_obligation_rolls_back() -> None:
@@ -256,10 +256,10 @@ def test_conflicting_open_obligation_rolls_back() -> None:
     ledger.open_obligations["ob1"] = Obligation(
         id="ob1", debtor="B", creditor="C", amount=1, unit=UNIT
     )
-    before = ledger.canonical_bytes()
+    before = canonical_dumps(ledger.to_obj())
     with pytest.raises(SettlementError, match="cannot discharge"):
-        apply_flow(ledger, solve(g, budget=0), g)
-    assert ledger.canonical_bytes() == before
+        apply_flow(ledger, solve_settleable(g, budget=0)[0], g)
+    assert canonical_dumps(ledger.to_obj()) == before
 
 
 # --- accounting properties -----------------------------------------------------

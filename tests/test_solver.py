@@ -17,7 +17,6 @@ from setoff import (
     build_network,
     compute_nid,
     net_positions,
-    solve,
     solve_settleable,
 )
 from setoff import _mincost, kernel, solver, validate
@@ -301,8 +300,8 @@ def test_partly_funded_epochs_match_network_simplex(seed: int) -> None:
 
 def test_solve_seed_determinism() -> None:
     g = aggregate(cycle_pool(with_tenders=True))
-    a = solve(g, 25, seed=11)
-    b = solve(g, 25, seed=11)
+    a = solve_settleable(g, 25, seed=11)[0]
+    b = solve_settleable(g, 25, seed=11)[0]
     assert a == b
 
 

@@ -18,7 +18,6 @@ from setoff import (
     build_network,
     compute_nid,
     is_valid_flow,
-    solve,
 )
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.model import Obligation
