@@ -17,7 +17,6 @@ from .errors import (
     GraphBuildError,
     IntentError,
     InvalidFlow,
-    OracleBoundError,
     QuotaExceeded,
     SetoffError,
     SettlementError,
@@ -53,7 +52,6 @@ from .graph import (
     aggregate,
     build_network,
     compute_nid,
-    dump_graph,
     net_positions,
 )
 from .solver import (
@@ -75,7 +73,6 @@ from .experiments import (
     MultiplierPoint,
     SyntheticGraphConfig,
     attach_default_liquidity,
-    brute_force_oracle,
     curve_to_csv,
     generate,
     multiplier_curve,
@@ -104,7 +101,6 @@ __all__ = [
     "NoticeEntry",
     "Obligation",
     "ObligationGraph",
-    "OracleBoundError",
     "QuotaExceeded",
     "SetOffNotice",
     "SetoffError",
@@ -123,12 +119,10 @@ __all__ = [
     "ascertain",
     "attach_default_liquidity",
     "bound_party",
-    "brute_force_oracle",
     "build_network",
     "cancel_cycles",
     "compute_nid",
     "curve_to_csv",
-    "dump_graph",
     "emit_notices",
     "flow_from_obj",
     "flow_to_obj",

@@ -87,8 +87,11 @@ PHASE_FROZEN = "frozen"
 _INIT_NAMES = frozenset({"epochs", "keys.jsonl", "state.json", "ledger.json", "config.json"})
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+    return _CANONICAL.encode(obj) + "\n"
 
 
 def _write_atomic(path: Path, data: str) -> None:

@@ -35,7 +35,3 @@ class StateError(SetoffError):
 
 class QuotaExceeded(SetoffError):
     """An agent exceeded its configured per-epoch intent quota."""
-
-
-class OracleBoundError(SetoffError):
-    """An instance is too large for exhaustive search; the oracle refuses."""

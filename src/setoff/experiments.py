@@ -1,4 +1,4 @@
-"""Synthetic clearing experiments: liquidity multiplier curves and an oracle.
+"""Synthetic clearing experiments: liquidity multiplier curves.
 
 The headline experiment sweeps a liquidity budget from zero upward on a
 seeded random obligation graph and reports, per budget, the fraction of all
@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import AmountError, GraphBuildError, OracleBoundError
+from .errors import AmountError, GraphBuildError
 from .graph import EpochPool, ObligationGraph, aggregate, build_network, net_positions
 from .model import KeyRegistry, Obligation, Tender, TenderKind, ascertain
 from .solver import solve_network
@@ -122,7 +122,8 @@ def generate(config: SyntheticGraphConfig) -> ObligationGraph:
             amount=amount,
             unit=config.unit,
         )
-        pool.add(ascertain(ob, registry))
+        # Signed just now under the pool's own registry: no need to check it again.
+        pool.add(ascertain(ob, registry), preverified=True)
     return aggregate(pool)
 
 
@@ -135,23 +136,12 @@ def attach_default_liquidity(
     ``net_debtors`` places one tender per net debtor, capped at its net debit
     (the NID construction); ``all`` places one at every firm, capped at the
     total debt. Acceptances are the implicit unlimited ones of the default
-    source.
+    source. The new graph's pool is a copy; ``g`` is left as it was.
     """
     pool = g.pool
     if pool.default_source is None:
         raise GraphBuildError("graph has no default liquidity source")
-    new = EpochPool(
-        unit=pool.unit,
-        currencies=pool.currencies,
-        default_source=pool.default_source,
-        registry=pool.registry,
-    )
-    for ob in pool.obligations.values():
-        new.add(ob, preverified=pool.is_ascertained(ob))
-    for acc in pool.acceptances.values():
-        new.add(acc, preverified=pool.is_ascertained(acc))
-    for tender in pool.tenders.values():
-        new.add(tender, preverified=pool.is_ascertained(tender))
+    new = pool.copy()
 
     positions = net_positions(g)
     issuers = set(pool.currencies.values())
@@ -242,51 +232,3 @@ def curve_to_csv(points: list[MultiplierPoint]) -> str:
         )
     return buf.getvalue()
 
-
-def brute_force_oracle(g: ObligationGraph, budget: int) -> int:
-    """Maximum dischargeable debt by exhaustive search over integer sub-flows.
-
-    Liquidity may be injected anywhere: a sub-flow is feasible when the sum
-    of positive per-node imbalances is within the budget. Only small
-    instances are accepted; the search space is bounded by the product of
-    (capacity + 1) over aggregated edges.
-    """
-    edges = sorted(g.edges.values(), key=lambda e: (e.debtor, e.creditor))
-    nodes = sorted({e.debtor for e in edges} | {e.creditor for e in edges})
-    if len(nodes) > 5:
-        raise OracleBoundError(f"{len(nodes)} nodes exceed the oracle bound of 5")
-    space = 1
-    for e in edges:
-        space *= e.amount + 1
-        if space > 1_000_000:
-            raise OracleBoundError("search space exceeds 10^6 sub-flows")
-
-    index = {a: i for i, a in enumerate(nodes)}
-    tails = [index[e.debtor] for e in edges]
-    heads = [index[e.creditor] for e in edges]
-    caps = [e.amount for e in edges]
-    suffix = [0] * (len(edges) + 1)
-    for i in range(len(edges) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-
-    balance = [0] * len(nodes)  # out minus in, per node
-    best = 0
-
-    def search(i: int, cleared: int) -> None:
-        nonlocal best
-        if cleared + suffix[i] <= best:
-            return
-        if i == len(edges):
-            if sum(b for b in balance if b > 0) <= budget:
-                best = cleared
-            return
-        t, h = tails[i], heads[i]
-        for f in range(caps[i], -1, -1):  # largest first: tightens the bound early
-            balance[t] += f
-            balance[h] -= f
-            search(i + 1, cleared + f)
-            balance[t] -= f
-            balance[h] += f
-
-    search(0, 0)
-    return best

@@ -123,6 +123,20 @@ class EpochPool:
         if self._net is not None:
             self._count(intent, 1)
 
+    def copy(self) -> "EpochPool":
+        """A new pool of the same intents, counts and verification marks.
+
+        It shares the registry; its totals are counted afresh when asked.
+        """
+        new = EpochPool(self.unit, self.currencies, self.default_source, self.registry)
+        new.obligations = dict(self.obligations)
+        new.acceptances = dict(self.acceptances)
+        new.tenders = dict(self.tenders)
+        new.preverified = set(self.preverified)
+        new._held = dict(self._held)
+        new._ascertained = dict(self._ascertained)
+        return new
+
     def remove(self, intent_id: str) -> None:
         """Withdraw one pooled intent, with its count and verification marks."""
         intent = self.get(intent_id)
@@ -694,26 +708,3 @@ def build_network(
         graph=g,
     )
 
-
-def dump_graph(g: ObligationGraph) -> str:
-    """Debug dump, one edge per line; stable across runs for fixtures.
-
-    Lines: ``unit <code>``, ``ob <debtor> <creditor> <amount>``,
-    ``tender <id> <sender> <issuer> <kind> <currency> <max> <price|->``,
-    ``accept <edge-id> <origin> <issuer> <currency> <limit|inf>``.
-    """
-    lines = [f"unit {g.unit}"]
-    for _, edge in sorted(g.edges.items()):
-        lines.append(f"ob {edge.debtor} {edge.creditor} {edge.amount}")
-    for te in g.tender_edges:
-        price = "-" if te.price is None else str(te.price)
-        lines.append(
-            f"tender {te.tender_id} {te.sender} {te.issuer} {te.kind.value}"
-            f" {te.currency} {te.max_amount} {price}"
-        )
-    for ae in g.acceptance_edges:
-        limit = "inf" if ae.limit is None else str(ae.limit)
-        lines.append(
-            f"accept {ae.edge_id} {ae.origin} {ae.issuer} {ae.currency} {limit}"
-        )
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ Canonical serialization (byte-for-byte):
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import json
 from dataclasses import dataclass, replace
@@ -400,10 +399,13 @@ def intent_from_obj(obj: dict) -> Intent:
     raise IntentError(f"unknown intent type {kind!r}")
 
 
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_serialize(intent: Intent) -> bytes:
     """Deterministic bytes for signing; excludes the ascertainment token."""
     obj = intent_to_obj(intent, include_ascertainment=False)
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def flow_to_obj(f: SettlementFlow) -> dict:
@@ -491,7 +493,7 @@ def bound_party(intent: Intent) -> AgentId:
 
 def _token(key: bytes, intent: Intent) -> str:
     """HMAC-SHA256 of the intent's canonical bytes under ``key``, hex-encoded."""
-    return hmac.new(key, canonical_serialize(intent), hashlib.sha256).hexdigest()
+    return hmac.digest(key, canonical_serialize(intent), "sha256").hex()
 
 
 def ascertain(intent: Intent, registry: KeyRegistry) -> Intent:

@@ -1,4 +1,5 @@
-"""Shared fixtures for the test suite: deterministic keys and small pools."""
+"""Shared fixtures for the test suite: deterministic keys, small pools, and
+the checks only tests use: a debug dump of a graph and an exhaustive oracle."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from setoff import (
     KeyRegistry,
     Ledger,
     Obligation,
+    ObligationGraph,
+    SetoffError,
     Tender,
     TenderKind,
     ascertain,
@@ -291,3 +294,80 @@ def counting_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def dump_graph(g: ObligationGraph) -> str:
+    """Debug dump, one edge per line; stable across runs for fixtures.
+
+    Lines: ``unit <code>``, ``ob <debtor> <creditor> <amount>``,
+    ``tender <id> <sender> <issuer> <kind> <currency> <max> <price|->``,
+    ``accept <edge-id> <origin> <issuer> <currency> <limit|inf>``.
+    """
+    lines = [f"unit {g.unit}"]
+    for _, edge in sorted(g.edges.items()):
+        lines.append(f"ob {edge.debtor} {edge.creditor} {edge.amount}")
+    for te in g.tender_edges:
+        price = "-" if te.price is None else str(te.price)
+        lines.append(
+            f"tender {te.tender_id} {te.sender} {te.issuer} {te.kind.value}"
+            f" {te.currency} {te.max_amount} {price}"
+        )
+    for ae in g.acceptance_edges:
+        limit = "inf" if ae.limit is None else str(ae.limit)
+        lines.append(
+            f"accept {ae.edge_id} {ae.origin} {ae.issuer} {ae.currency} {limit}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class OracleBoundError(SetoffError):
+    """An instance is too large for exhaustive search; the oracle refuses."""
+
+
+def brute_force_oracle(g: ObligationGraph, budget: int) -> int:
+    """Maximum dischargeable debt by exhaustive search over integer sub-flows.
+
+    Liquidity may be injected anywhere: a sub-flow is feasible when the sum
+    of positive per-node imbalances is within the budget. Only small
+    instances are accepted; the search space is bounded by the product of
+    (capacity + 1) over aggregated edges.
+    """
+    edges = sorted(g.edges.values(), key=lambda e: (e.debtor, e.creditor))
+    nodes = sorted({e.debtor for e in edges} | {e.creditor for e in edges})
+    if len(nodes) > 5:
+        raise OracleBoundError(f"{len(nodes)} nodes exceed the oracle bound of 5")
+    space = 1
+    for e in edges:
+        space *= e.amount + 1
+        if space > 1_000_000:
+            raise OracleBoundError("search space exceeds 10^6 sub-flows")
+
+    index = {a: i for i, a in enumerate(nodes)}
+    tails = [index[e.debtor] for e in edges]
+    heads = [index[e.creditor] for e in edges]
+    caps = [e.amount for e in edges]
+    suffix = [0] * (len(edges) + 1)
+    for i in range(len(edges) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + caps[i]
+
+    balance = [0] * len(nodes)  # out minus in, per node
+    best = 0
+
+    def search(i: int, cleared: int) -> None:
+        nonlocal best
+        if cleared + suffix[i] <= best:
+            return
+        if i == len(edges):
+            if sum(b for b in balance if b > 0) <= budget:
+                best = cleared
+            return
+        t, h = tails[i], heads[i]
+        for f in range(caps[i], -1, -1):  # largest first: tightens the bound early
+            balance[t] += f
+            balance[h] -= f
+            search(i + 1, cleared + f)
+            balance[t] -= f
+            balance[h] += f
+
+    search(0, 0)
+    return best

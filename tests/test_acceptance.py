@@ -29,7 +29,6 @@ from setoff.engine import canonical_dumps
 from setoff.experiments import (
     SyntheticGraphConfig,
     attach_default_liquidity,
-    brute_force_oracle,
     generate,
     multiplier_curve,
 )
@@ -38,7 +37,16 @@ from setoff.settle import apply_flow
 from setoff.solver import solve_network, solve_settleable
 from setoff.validate import is_valid_flow
 
-from support import HUB, UNIT, chain_pool, cycle_pool, funded_ledger, key_of, p2p_loan_pool
+from support import (
+    HUB,
+    UNIT,
+    brute_force_oracle,
+    chain_pool,
+    cycle_pool,
+    funded_ledger,
+    key_of,
+    p2p_loan_pool,
+)
 
 
 def announce(capsys, num: int, label: str, ok: bool) -> None:

@@ -1,5 +1,7 @@
 """Synthetic graphs, the liquidity multiplier sweep, and the exhaustive oracle."""
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,29 +12,41 @@ from setoff import (
     Acceptance,
     AcceptanceKind,
     AmountError,
+    EpochPool,
     GraphBuildError,
     Obligation,
-    OracleBoundError,
     Tender,
     TenderKind,
     aggregate,
+    ascertain,
     compute_nid,
     kernel,
+    verify_ascertainment,
 )
 from setoff.experiments import (
     CURVE_CSV_HEADER,
     MultiplierPoint,
     SyntheticGraphConfig,
     attach_default_liquidity,
-    brute_force_oracle,
     curve_to_csv,
     generate,
     multiplier_curve,
 )
-from setoff.graph import build_network, dump_graph
+from setoff.graph import build_network
 from setoff.solver import solve_network
 
-from support import HUB, UNIT, add_signed, counting_calls, cycle_pool, make_pool
+from support import (
+    HUB,
+    UNIT,
+    OracleBoundError,
+    add_signed,
+    brute_force_oracle,
+    counting_calls,
+    counting_verify,
+    cycle_pool,
+    dump_graph,
+    make_pool,
+)
 
 
 # --- generation -------------------------------------------------------------------
@@ -112,6 +126,73 @@ def test_attach_net_debtor_tenders_cover_nid() -> None:
                for t in equipped.pool.tenders.values())
     # Obligations are untouched.
     assert dump_graph(g).splitlines()[1:26] == dump_graph(equipped).splitlines()[1:26]
+
+
+# The SHA-256 of the 250-firm sweep graph's dump, and of its intents' tokens in pool
+# order, one "<id> <token>" line each; the default tenders carry no token.
+SWEEP_GRAPH_SHA256 = "d52692244f2610de3eaae1ed034e7cc11cd66ba11c2e26f81e2fe7e416c9b7c5"
+SWEEP_TOKENS_SHA256 = "67fa1e64c9258fa7a1b2462f1deb279d1224d7fd583e3a77206d5451bf7d9d37"
+
+
+def pool_intents(pool: EpochPool) -> list:
+    return [*pool.obligations.values(), *pool.acceptances.values(), *pool.tenders.values()]
+
+
+def test_sweep_graph_and_tokens_are_pinned() -> None:
+    g = attach_default_liquidity(generate(SyntheticGraphConfig(
+        nodes=250, edges=1000, seed=100, amount_dist="lognormal"
+    )))
+    tokens = "".join(f"{i.id} {i.ascertainment}\n" for i in pool_intents(g.pool))
+    assert hashlib.sha256(dump_graph(g).encode()).hexdigest() == SWEEP_GRAPH_SHA256
+    assert hashlib.sha256(tokens.encode()).hexdigest() == SWEEP_TOKENS_SHA256
+
+
+def test_generated_intents_are_signed_and_not_checked_again(monkeypatch) -> None:
+    checked = counting_verify(monkeypatch)
+    adds = counting_calls(monkeypatch, EpochPool, "add")
+    g = generate(SyntheticGraphConfig(nodes=30, edges=120, seed=3))
+    equipped = attach_default_liquidity(g)
+    assert checked == []
+    assert len(adds) == 120 + len(equipped.pool.tenders)
+    # Every preverified intent is signed, but for the default tenders the
+    # attachment makes itself, which carry no token.
+    for graph in (g, equipped):
+        for intent in pool_intents(graph.pool):
+            if intent.id.startswith("tender:default:"):
+                assert graph is equipped and intent.ascertainment is None
+            else:
+                assert verify_ascertainment(intent, graph.pool.registry), intent.id
+    assert not g.excluded and not equipped.excluded
+
+
+def test_attach_copies_the_pool_and_keeps_its_checks(monkeypatch) -> None:
+    pool = make_pool("a", "b", "c")
+    add_signed(pool, Obligation(id="o1", debtor="a", creditor="b", amount=30, unit=UNIT))
+    add_signed(pool, Obligation(id="o2", debtor="b", creditor="c", amount=20, unit=UNIT))
+    pool.add(ascertain(Obligation(id="o3", debtor="c", creditor="a", amount=5, unit=UNIT),
+                       pool.registry), preverified=True)
+    good = ascertain(Obligation(id="bad", debtor="a", creditor="c", amount=9, unit=UNIT),
+                     pool.registry)
+    pool.add(dataclasses.replace(good, amount=90))  # a token that does not match
+    g = aggregate(pool)
+    assert g.excluded == (("bad", "ascertainment failed"),)
+    agents = ("a", "b", "c", HUB)
+    before = ([dict(t) for t in (pool.obligations, pool.acceptances, pool.tenders)],
+              set(pool.preverified), [pool.held_by(a) for a in agents])
+
+    checked = counting_verify(monkeypatch)
+    equipped = attach_default_liquidity(g)
+    assert checked == ["bad"]  # the failed check is made again, the passed ones are not
+    assert ("bad", "ascertainment failed") in equipped.excluded
+    assert before == ([dict(t) for t in (pool.obligations, pool.acceptances, pool.tenders)],
+                      set(pool.preverified), [pool.held_by(a) for a in agents])
+    assert list(equipped.pool.tenders) == ["tender:default:a"]  # a is the one net debtor
+
+    by_add = EpochPool(unit=UNIT, currencies={UNIT: HUB}, default_source=HUB,
+                       registry=pool.registry)
+    for intent in pool_intents(equipped.pool):
+        by_add.add(intent)
+    assert [equipped.pool.held_by(a) for a in agents] == [by_add.held_by(a) for a in agents]
 
 
 def test_attach_all_places_tenders_everywhere() -> None:

@@ -31,7 +31,6 @@ from setoff.graph import (
     Stage,
     TenderArc,
     TenderEdge,
-    dump_graph,
     floor_div_price,
     floor_mul_price,
 )
@@ -44,6 +43,7 @@ from support import (
     cycle_pool,
     chain_pool,
     counting_verify,
+    dump_graph,
     funded_ledger,
     key_of,
     make_pool,

@@ -25,6 +25,7 @@ from setoff import (
 from setoff.engine import canonical_dumps
 from setoff.model import (
     MAX_AMOUNT,
+    _token,
     as_amount,
     as_quantity,
     canonical_serialize,
@@ -181,6 +182,43 @@ def test_canonical_serialize_ignores_token(intent) -> None:
     reg = KeyRegistry({bound_party(intent): b"k"})
     signed = ascertain(intent, reg)
     assert canonical_serialize(signed) == canonical_serialize(intent)
+
+
+# The signing format, pinned: the canonical bytes and the HMAC-SHA256 token under
+# ``key_of`` of the bound party. Every stored token depends on them.
+PINNED_SIGNING = [
+    (
+        Obligation(id="ob:due", debtor="acme", creditor="bolt", amount=1250, unit="UOA",
+                   due_date="2025-03-31"),
+        b'{"type":"obligation","id":"ob:due","debtor":"acme","creditor":"bolt",'
+        b'"amount":1250,"unit":"UOA","due_date":"2025-03-31"}',
+        "252d20d9aaba3f282fe0148229aeddd65967d38055925c41ac8ed33286e97cf0",
+    ),
+    (
+        Acceptance(id="acc:rep", origin="bank", target="acme", kind=AcceptanceKind.REPAYMENT,
+                   currency="UOA", limit=5000, repayment_due="2025-06-30"),
+        b'{"type":"acceptance","id":"acc:rep","origin":"bank","target":"acme",'
+        b'"kind":"repayment","limit":5000,"currency":"UOA","repayment_due":"2025-06-30"}',
+        "2f3575432e7f80faf7d5204571a9c0e82371480cd889fe9ce1f0462b125e5ff6",
+    ),
+    (
+        Tender(id="tender:eurx", sender="acme", source="eurx_issuer",
+               kind=TenderKind.ASSIGNMENT, max_amount=300, price=Fraction(11, 10)),
+        b'{"type":"tender","id":"tender:eurx","sender":"acme","source":"eurx_issuer",'
+        b'"kind":"assignment","max_amount":300,"price":"11/10"}',
+        "edc3e5916c5ec5a190008c30a10c76ecafabe2420542fd86f6d9250d21a55f28",
+    ),
+]
+
+
+@pytest.mark.parametrize("intent, canonical, token", PINNED_SIGNING)
+def test_signing_format_is_pinned(intent, canonical: bytes, token: str) -> None:
+    party = bound_party(intent)
+    assert canonical_serialize(intent) == canonical
+    assert _token(key_of(party), intent) == token
+    signed = ascertain(intent, registry_for(party))
+    assert signed.ascertainment == token
+    assert verify_ascertainment(signed, registry_for(party))
 
 
 def test_canonical_serialize_distinguishes_amounts() -> None:
