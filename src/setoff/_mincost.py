@@ -1,18 +1,26 @@
 """Min-cost flow kernel, in pure Python; ``setoff.kernel`` is its entry point.
 
-The kernel solves the clearing problem in two phases over one residual graph:
+The kernel solves the clearing problem over one residual graph, by one
+operation done first on the obligations and then once per currency stage:
+saturate every arc of negative reduced cost, then route the excess this
+leaves back at minimum cost (``_saturate``). Routing goes one cost level at a
+time (``_route``; primal-dual, Ahuja, Magnanti & Orlin, *Network Flows*,
+ch. 9). One Dijkstra pass with Johnson potentials finds the shortest path;
+its distances are folded into the potentials, so every residual arc keeps a
+non-negative reduced cost, and Dinic-style blocking flows are pushed over the
+arcs of zero reduced cost until the sink is unreachable over them or a limit
+is met. Every such path is a shortest path, so the flow stays min-cost for
+its value, and each pass finds a new, dearer level.
 
-Phase 1 (cycle component): every obligation arc (cost -1) is saturated, which
-leaves a per-node imbalance equal to its net position. A min-cost rebalance of
-those imbalances (Dijkstra with Johnson potentials; all residual costs are
-non-negative under the potential invariant) then returns exactly the flow that
-cannot ride a cycle. The result is the min-cost circulation on obligation arcs
-alone: the maximum debt dischargeable with zero liquidity, with every
-negative-cost residual cycle eliminated. Phase 1 still augments one shortest
-path per pass. The phase 2 routine would make the ``simulate`` sweep about ten
-times faster, but the benchmark keeps every sweep pass's graph, so its peak
-memory would then break its bound; phase 1 follows once the benchmark stops
-that (ROADMAP item 1).
+Phase 1 (cycle component) saturates every obligation arc (cost -1), which
+leaves each node an imbalance equal to its net position, and routes it back:
+what cannot ride a cycle returns. The result is the min-cost circulation on
+obligation arcs alone, the maximum debt dischargeable with zero liquidity.
+Phase 1 differs only in its routing: it pushes one shortest path per pass
+(``_push_path``), not one cost level. By cost level the ``simulate`` sweep
+runs about ten times faster, but the benchmark keeps every sweep pass's
+graph, so its peak memory would then break its bound; phase 1 follows once
+the benchmark stops that (ROADMAP item 1).
 
 Phase 2 (chain component), per currency stage. A tender is an arc into its
 node from the source S, or from a pot node P when it names one. A pot is an
@@ -20,19 +28,12 @@ arc S->P whose cap bounds the new money its tenders draw. An acceptance is an
 arc from its node to the sink T, or, when it names a pot, to that pot's
 receipt node R, which feeds both T and, by a recycle arc R->P capped at the
 pot's tender caps, the pot itself. Recycle arcs close cycles that avoid S and
-T: a credit line clearing a cycle through its own lender. So each stage
-first runs a cycle pass, phase 1's saturate-and-rebalance on the stage's
-arcs: every recycle arc of negative reduced cost is saturated, and the
-excess it leaves is routed back at minimum cost. Then liquidity is pushed
-from S to T one cost level at a time (primal-dual; Ahuja, Magnanti & Orlin,
-*Network Flows*, ch. 9). One Dijkstra pass finds the shortest S->T path;
-while its true cost is negative (each unit of new money must discharge at
-least one unit of debt), its distances are folded into the potentials, and
-Dinic-style blocking flows are pushed over the zero-reduced-cost arcs until
-T is unreachable over them or the budget is spent. Every such path is a
-shortest path, so the flow stays min-cost for its value, and each pass finds
-a new, dearer level. Stage arcs are frozen before the next stage; obligation
-residuals are shared. The budget caps the flow out of S, that is new money.
+T: a credit line clearing a cycle through its own lender. So each stage first
+runs a cycle pass, which saturates the recycle arcs and routes their excess
+back. Then it routes new money from S to T while a level's true cost is
+negative: each unit of new money must discharge at least one unit of debt.
+The budget caps the flow out of S, that is new money. Stage arcs are closed
+before the next stage; obligation residuals are shared.
 
 All quantities are integers, and None means unlimited. Ties break on node
 index, and arc order is the caller's, so identical inputs give identical
@@ -86,8 +87,8 @@ def _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred) -> bool:
     return dist[snk] < INF
 
 
-def _augment(src, snk, to, res, pi, dist, pred, limit: int) -> int:
-    """Push along the found path, then fold distances into potentials."""
+def _push_path(src, snk, to, res, pred, limit: int) -> None:
+    """Push as much as the found path takes, up to ``limit``."""
     amt = limit
     v = snk
     while v != src:
@@ -101,8 +102,6 @@ def _augment(src, snk, to, res, pi, dist, pred, limit: int) -> int:
         res[i] -= amt
         res[i ^ 1] += amt
         v = to[i ^ 1]
-    _fold(pi, dist, dist[snk])
-    return amt
 
 
 def _fold(pi, dist, d_snk: int) -> None:
@@ -192,92 +191,87 @@ def _node(adj, pi, potential: int = 0) -> int:
     return len(pi) - 1
 
 
-def _cycles(n: int, obligations: list[tuple[int, int, int]]):
-    """Phase 1: the residual graph with the cycle component, and its potentials.
+def _route(src, snk, to, res, cost, adj, pi, limit: int, ceiling: int) -> int:
+    """Push up to ``limit`` from src to snk at minimum cost; returns the amount.
 
-    Returns ``(to, res, cost, adj, pi, ob_arc)``: arc ``i`` runs to ``to[i]``
-    with residual capacity ``res[i]`` and cost ``cost[i]``, arc ``i ^ 1`` is
-    its reverse, ``adj[u]`` lists the arcs leaving ``u``, and ``ob_arc[k]``
-    is obligation ``k``'s arc. Nodes ``n`` and ``n + 1`` are S and T.
+    One cost level per pass: stops when ``limit`` is pushed, when snk is
+    unreachable, or when a level's true cost per unit exceeds ``ceiling``.
     """
-    src = n
-    snk = n + 1
-    size = n + 2
-    to: list[int] = []
-    res: list[int] = []
-    cost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(size)]
-
-    # Obligation arcs enter saturated; the imbalance they leave behind is
-    # exactly each node's net position.
-    excess = [0] * size
-    ob_arc = []
-    for tail, head, cap in obligations:
-        i = _add_arc(to, res, cost, adj, tail, head, cap, -1)
-        ob_arc.append(i)
-        res[i] = 0
-        res[i + 1] = cap
-        excess[head] += cap
-        excess[tail] -= cap
-
-    # Rebalance the saturation imbalances at minimum cost. No path carries
-    # more than its first arc, an imbalance, so the limit never binds.
-    aux = []
-    for v in range(n):
-        if excess[v] > 0:
-            aux.append(_add_arc(to, res, cost, adj, src, v, excess[v], 0))
-        elif excess[v] < 0:
-            aux.append(_add_arc(to, res, cost, adj, v, snk, -excess[v], 0))
-    pi = [0] * size
-    dist = [INF] * size
-    pred = [-1] * size
-    limit = sum(cap for _, _, cap in obligations)
-    while _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
-        _augment(src, snk, to, res, pi, dist, pred, limit)
-    for i in aux:
-        res[i] = 0
-        res[i ^ 1] = 0
-    return to, res, cost, adj, pi, ob_arc
+    dist = [INF] * len(pi)
+    pred = [-1] * len(pi)
+    pushed = 0
+    while pushed < limit and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
+        if dist[snk] - pi[src] + pi[snk] > ceiling:
+            break
+        _fold(pi, dist, dist[snk])
+        pushed += _blocking_flows(src, snk, to, res, cost, adj, pi, limit - pushed)
+    return pushed
 
 
-def _recycle(to, res, cost, adj, pi, recycle: list[int]) -> None:
-    """The cycle pass: saturate each negative recycle arc, then rebalance.
+def _saturate(to, res, cost, adj, pi, arcs: list[int]):
+    """Saturate each of ``arcs`` with negative reduced cost; returns what to route.
 
-    Saturating an arc of negative reduced cost leaves its head an excess and
-    its tail a deficit, and every residual arc of non-negative reduced cost.
-    The excess is routed back at minimum cost from an auxiliary source to an
-    auxiliary sink, one cost level per shortest-path pass, until all of it
-    is moved. It always can be: each saturated arc's reverse leads back.
+    A saturated arc leaves its head an excess and its tail a deficit, and
+    every residual arc a non-negative reduced cost. Nodes that net to zero,
+    such as each node of a pure cycle, drop out. A new source gets an arc to
+    each excess and a new sink one from each deficit; with the largest and
+    the smallest potential of those nodes, no new arc costs less than zero.
+    Returns ``(source, sink, total excess)``, or None if nothing is left to
+    route. All of it can be routed: each saturated arc's reverse leads back.
     """
     excess: dict[int, int] = {}
-    for i in recycle:
+    for i in arcs:
         if res[i] > 0 and cost[i] + pi[to[i ^ 1]] - pi[to[i]] < 0:
             amt = res[i]
             res[i] = 0
             res[i ^ 1] += amt
             excess[to[i]] = excess.get(to[i], 0) + amt
             excess[to[i ^ 1]] = excess.get(to[i ^ 1], 0) - amt
-    if not excess:
-        return
-    src = _node(adj, pi)
-    snk = _node(adj, pi)
-    aux = []
-    for v in sorted(excess):
+    nodes = sorted(v for v, amt in excess.items() if amt)
+    if not nodes:
+        return None
+    src = _node(adj, pi, max(pi[v] for v in nodes if excess[v] > 0))
+    snk = _node(adj, pi, min(pi[v] for v in nodes if excess[v] < 0))
+    for v in nodes:
         if excess[v] > 0:
-            aux.append(_add_arc(to, res, cost, adj, src, v, excess[v], 0))
+            _add_arc(to, res, cost, adj, src, v, excess[v], 0)
         else:
-            aux.append(_add_arc(to, res, cost, adj, v, snk, -excess[v], 0))
-    pi[src] = max(pi[v] for v in excess if excess[v] > 0)
-    pi[snk] = min(pi[v] for v in excess if excess[v] < 0)
-    dist = [INF] * len(pi)
-    pred = [-1] * len(pi)
-    left = sum(amt for amt in excess.values() if amt > 0)
-    while left > 0 and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
-        _fold(pi, dist, dist[snk])
-        left -= _blocking_flows(src, snk, to, res, cost, adj, pi, left)
-    for i in aux:
+            _add_arc(to, res, cost, adj, v, snk, -excess[v], 0)
+    return src, snk, sum(excess[v] for v in nodes if excess[v] > 0)
+
+
+def _close(res, arcs) -> None:
+    """Take ``arcs`` and their reverses out of the residual graph."""
+    for i in arcs:
         res[i] = 0
         res[i ^ 1] = 0
+
+
+def _cycles(n: int, obligations: list[tuple[int, int, int]]):
+    """Phase 1: the residual graph with the cycle component, and its potentials.
+
+    Returns ``(to, res, cost, adj, pi, ob_arc)``: arc ``i`` runs to ``to[i]``
+    with residual capacity ``res[i]`` and cost ``cost[i]``, arc ``i ^ 1`` is
+    its reverse, ``adj[u]`` lists the arcs leaving ``u``, and ``ob_arc[k]``
+    is obligation ``k``'s arc. Nodes ``n`` and ``n + 1`` are S and T, still
+    without arcs.
+    """
+    to: list[int] = []
+    res: list[int] = []
+    cost: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n + 2)]
+    pi = [0] * (n + 2)
+    ob_arc = [_add_arc(to, res, cost, adj, tail, head, cap, -1) for tail, head, cap in obligations]
+    aux = _saturate(to, res, cost, adj, pi, ob_arc)
+    if aux is not None:
+        src, snk, excess = aux
+        dist = [INF] * len(pi)
+        pred = [-1] * len(pi)
+        while _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
+            _fold(pi, dist, dist[snk])
+            _push_path(src, snk, to, res, pred, excess)
+        _close(res, adj[src] + adj[snk])
+    return to, res, cost, adj, pi, ob_arc
 
 
 def solve(
@@ -369,24 +363,18 @@ def solve(
         if n > 0:
             pi[src] = max(pi[v] for v in range(n))
             pi[snk] = min(pi[v] for v in range(n))
-        _recycle(to, res, cost, adj, pi, recycle)
+        aux = _saturate(to, res, cost, adj, pi, recycle)
+        if aux is not None:
+            cycle_src, cycle_snk, excess = aux
+            _route(cycle_src, cycle_snk, to, res, cost, adj, pi, excess, INF)
+            _close(res, adj[cycle_src] + adj[cycle_snk])
 
-        dist = [INF] * len(pi)
-        pred = [-1] * len(pi)
-        liquidity = 0
-        while remaining > 0 and _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred):
-            if dist[snk] - pi[src] + pi[snk] >= 0:
-                break
-            _fold(pi, dist, dist[snk])
-            pushed = _blocking_flows(src, snk, to, res, cost, adj, pi, remaining)
-            liquidity += pushed
-            remaining -= pushed
+        liquidity = _route(src, snk, to, res, cost, adj, pi, remaining, -1)
+        remaining -= liquidity
         stage_liquidity.append(liquidity)
         tender_flow.append([res[i ^ 1] for i in t_arcs])
         accept_flow.append([res[i ^ 1] for i in a_arcs])
-        for i in stage_arcs + t_arcs + a_arcs + recycle:
-            res[i] = 0
-            res[i ^ 1] = 0
+        _close(res, stage_arcs + t_arcs + a_arcs + recycle)
 
     final_ob_flow = [res[i ^ 1] for i in ob_arc]
     return cycle_ob_flow, final_ob_flow, tender_flow, accept_flow, stage_liquidity

@@ -383,6 +383,8 @@ def intent_from_obj(obj: dict) -> Intent:
             )
         if kind == "tender":
             price = obj.get("price")
+            if isinstance(price, bool):  # Fraction(True) would read it as 1
+                raise IntentError(f"malformed intent: price {price!r} is not a number")
             return Tender(
                 id=obj["id"],
                 sender=obj["sender"],
@@ -394,7 +396,7 @@ def intent_from_obj(obj: dict) -> Intent:
             )
     except KeyError as exc:
         raise IntentError(f"intent is missing field {exc.args[0]!r}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ArithmeticError, ValueError, TypeError) as exc:  # Fraction("1/0"), Fraction(inf)
         raise IntentError(f"malformed intent: {exc}") from exc
     raise IntentError(f"unknown intent type {kind!r}")
 

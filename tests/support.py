@@ -18,7 +18,9 @@ from setoff import (
     SetoffError,
     Tender,
     TenderKind,
+    aggregate,
     ascertain,
+    compute_nid,
 )
 from setoff.model import MAX_AMOUNT
 import setoff.graph as graph_module
@@ -268,6 +270,36 @@ def funded_ledger(*entries: tuple[str, str, int]) -> Ledger:
     for agent, asset, amount in entries:
         ledger.set_balance(agent, asset, amount)
     return ledger
+
+
+def credit_epoch(rng: random.Random):
+    """A single-currency epoch of 3-8 firms with assignments, credit lines and balances.
+
+    Returns the graph, a ledger and a budget. Lowered with the ledger, its
+    network has pots, and credit lines give it recycle arcs.
+    """
+    firms = [f"f{i}" for i in range(rng.randint(3, 8))]
+    pool = make_pool(*firms)
+    for i in range(rng.randint(len(firms), 2 * len(firms))):
+        debtor, creditor = rng.sample(firms, 2)
+        add_signed(pool, Obligation(id=f"ob{i}", debtor=debtor, creditor=creditor,
+                                    amount=rng.randint(1, 50), unit=UNIT))
+    for i, sender in enumerate(rng.sample(firms, rng.randint(0, len(firms)))):
+        add_signed(pool, Tender(id=f"t:a{i}", sender=sender, source=HUB,
+                                kind=TenderKind.ASSIGNMENT, max_amount=rng.randint(1, 40)))
+    for i in range(rng.randint(0, 3)):
+        sender, lender = rng.sample(firms, 2)
+        add_signed(pool, Acceptance(id=f"acc{i}", origin=lender, target=sender,
+                                    kind=AcceptanceKind.REPAYMENT, currency=UNIT,
+                                    limit=rng.randint(1, 40)))
+        add_signed(pool, Tender(id=f"t:d{i}", sender=sender, source=lender,
+                                kind=TenderKind.OVERDRAFT, max_amount=rng.randint(1, 40)))
+    g = aggregate(pool)
+    ledger = funded_ledger(*(
+        (firm, UNIT, rng.choice((0, rng.randint(0, 30)))) for firm in firms
+    ))
+    budget = rng.choice((None, compute_nid(g) // 2, rng.randint(0, 60)))
+    return g, ledger, budget
 
 
 def counting_verify(monkeypatch) -> list[str]:

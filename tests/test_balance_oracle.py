@@ -39,36 +39,10 @@ from setoff import (
 )
 from setoff.solver import cancel_cycles
 
-from support import HUB, UNIT, add_signed, funded_ledger, make_pool
+from support import HUB, UNIT, add_signed, credit_epoch, funded_ledger, make_pool
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
-
-
-def credit_epoch(rng: random.Random):
-    """A single-currency epoch of 3-8 firms with assignments, credit lines and balances."""
-    firms = [f"f{i}" for i in range(rng.randint(3, 8))]
-    pool = make_pool(*firms)
-    for i in range(rng.randint(len(firms), 2 * len(firms))):
-        debtor, creditor = rng.sample(firms, 2)
-        add_signed(pool, Obligation(id=f"ob{i}", debtor=debtor, creditor=creditor,
-                                    amount=rng.randint(1, 50), unit=UNIT))
-    for i, sender in enumerate(rng.sample(firms, rng.randint(0, len(firms)))):
-        add_signed(pool, Tender(id=f"t:a{i}", sender=sender, source=HUB,
-                                kind=TenderKind.ASSIGNMENT, max_amount=rng.randint(1, 40)))
-    for i in range(rng.randint(0, 3)):
-        sender, lender = rng.sample(firms, 2)
-        add_signed(pool, Acceptance(id=f"acc{i}", origin=lender, target=sender,
-                                    kind=AcceptanceKind.REPAYMENT, currency=UNIT,
-                                    limit=rng.randint(1, 40)))
-        add_signed(pool, Tender(id=f"t:d{i}", sender=sender, source=lender,
-                                kind=TenderKind.OVERDRAFT, max_amount=rng.randint(1, 40)))
-    g = aggregate(pool)
-    ledger = funded_ledger(*(
-        (firm, UNIT, rng.choice((0, rng.randint(0, 30)))) for firm in firms
-    ))
-    budget = rng.choice((None, compute_nid(g) // 2, rng.randint(0, 60)))
-    return g, ledger, budget
 
 
 def most_clearable(g, ledger, budget) -> int:

@@ -1677,6 +1677,23 @@ def test_cli_submit_non_object_line_is_json_on_stderr(
     assert pool.read_bytes() == before
 
 
+@pytest.mark.parametrize("price", ['"1/0"', "1e400", "true"])
+def test_cli_submit_a_bad_price_is_json_on_stderr(tmp_path: Path, capsys, price: str) -> None:
+    store = tmp_path / "s"
+    submit_signed(make_engine(store), cycle_intents()[0])
+    pool = store / "epochs" / "00000" / "pool.jsonl"
+    before = pool.read_bytes()
+    intents = tmp_path / "bad.jsonl"
+    intents.write_text('{"type":"tender","id":"t","sender":"A","source":"hub",'
+                       f'"kind":"assignment","max_amount":5,"price":{price}}}\n')
+    code, out, err = run_cli(capsys, "--store", str(store), "submit", str(intents))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "IntentError"
+    assert error["detail"].startswith(f"{intents}:1: malformed intent")
+    assert pool.read_bytes() == before
+
+
 SMALL_CONFIG = '{"nodes": 6, "edges": 10, "seed": 1}'
 
 

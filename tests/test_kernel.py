@@ -1,6 +1,8 @@
 """The min-cost flow kernel: entry point and flow postconditions."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,10 @@ from setoff import _mincost, kernel
 from setoff._mincost import solve as python_solve
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.graph import build_network, compute_nid
+
+from support import credit_epoch
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def random_instance(seed: int):
@@ -212,23 +218,33 @@ def phase2_passes(monkeypatch, n, obligations, stages, budget) -> list[tuple[int
     return [(passes[a], len(costs[a]), stages_at[a]) for a in stages_at]
 
 
-def test_phase2_makes_one_pass_per_cost_level(monkeypatch) -> None:
-    g = attach_default_liquidity(
+def sweep_graph():
+    """The 250-firm, 1000-obligation lognormal graph of seed 100, with liquidity."""
+    return attach_default_liquidity(
         generate(SyntheticGraphConfig(nodes=250, edges=1000, seed=100, amount_dist="lognormal"))
     )
+
+
+def kernel_instance(net):
+    """The kernel's arguments for a lowered network, as ``solve_network`` passes them."""
+    return (
+        len(net.nodes),
+        [(a.tail, a.head, a.cap) for a in net.ob_arcs],
+        [
+            ([(a.node, a.cap, a.pot) for a in s.tender_arcs],
+             [(a.node, a.cap, a.pot) for a in s.accept_arcs],
+             [pot.cap for pot in s.pots])
+            for s in net.stages
+        ],
+        net.budget,
+    )
+
+
+def test_phase2_makes_one_pass_per_cost_level(monkeypatch) -> None:
+    g = sweep_graph()
     nid = compute_nid(g)
     for budget in (None, nid // 2):
-        net = build_network(g, budget=budget)
-        inst = (
-            len(net.nodes),
-            [(a.tail, a.head, a.cap) for a in net.ob_arcs],
-            [
-                ([(a.node, a.cap, None) for a in s.tender_arcs],
-                 [(a.node, a.cap, None) for a in s.accept_arcs], [])
-                for s in net.stages
-            ],
-            budget,
-        )
+        inst = kernel_instance(build_network(g, budget=budget))
         [(passes, levels, _)] = phase2_passes(monkeypatch, *inst)
         assert levels > 1 and passes <= levels + 1, (budget, passes, levels)
     for seed in range(150):
@@ -236,3 +252,99 @@ def test_phase2_makes_one_pass_per_cost_level(monkeypatch) -> None:
         for variant in variants:
             for passes, levels, stages in phase2_passes(monkeypatch, *obligations, *variant):
                 assert passes <= levels + stages, (seed, passes, levels)
+
+
+# --- pinned outputs and work --------------------------------------------------------
+
+
+def pinned_instances(family: str):
+    """The kernel inputs whose outputs are pinned, one family at a time.
+
+    ``staged``: multi-stage random instances. ``credit``: small credit epochs
+    lowered with their ledgers, so with pots and recycle arcs, in two arc
+    orders. ``sweep``: the sweep graph at no budget and at half its NID.
+    """
+    if family == "staged":
+        for seed in range(150):
+            (n, arcs), variants = staged_variants(seed)
+            for stages, budget in variants:
+                yield n, arcs, stages, budget
+    elif family == "credit":
+        for seed in range(150):
+            g, ledger, budget = credit_epoch(random.Random(seed))
+            for arc_seed in (None, seed):
+                yield kernel_instance(build_network(g, budget, arc_seed, ledger))
+    else:
+        g = sweep_graph()
+        for budget in (None, compute_nid(g) // 2):
+            yield kernel_instance(build_network(g, budget=budget))
+
+
+# SHA-256 over the ``repr`` of every full return, in order. A change here is
+# a change of tie-break: another of several equally optimal flows.
+PINNED_OUTPUTS = {
+    "credit": "59a4fbac1abe93de730b3adf9e0d29e4cf6e9b873807ea6382ba4f1a0cc34ba5",
+    "staged": "7f1a6ef192183538099ac73a871f050fd577b0a33dc7c2470b6e770404d7ebc5",
+    "sweep": "106ceb755225f57ad81092026d341893ab506b838ae89c6d8061547650361299",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_OUTPUTS))
+def test_kernel_outputs_are_pinned(family: str) -> None:
+    digest = hashlib.sha256()
+    recycling = 0  # instances with an acceptance into a pot's receipt node
+    for inst in pinned_instances(family):
+        digest.update(repr(python_solve(*inst)).encode())
+        recycling += any(pot is not None for _, accepts, _ in inst[2] for _, _, pot in accepts)
+    assert digest.hexdigest() == PINNED_OUTPUTS[family]
+    assert (recycling > 0) == (family == "credit")
+
+
+def dijkstra_passes(monkeypatch, run) -> list[tuple[int, int, int]]:
+    """Shortest-path passes of each kernel solve that ``run()`` makes.
+
+    One ``(phase 1, cycle pass, phase 2)`` triple per solve. Phase 1 is what
+    runs inside ``_cycles``; after it, phase 2's passes start at S, node
+    ``n``, and the cycle pass's at a node of its own.
+    """
+    solves: list[list[int]] = []
+    dijkstra, cycles = _mincost._dijkstra, _mincost._cycles
+    in_phase1 = False
+    source = -1
+
+    def phase1(n, obligations):
+        nonlocal in_phase1, source
+        solves.append([0, 0, 0])
+        in_phase1, source = True, n
+        try:
+            return cycles(n, obligations)
+        finally:
+            in_phase1 = False
+
+    def counting(src, *args):
+        solves[-1][0 if in_phase1 else 2 if src == source else 1] += 1
+        return dijkstra(src, *args)
+
+    monkeypatch.setattr(_mincost, "_dijkstra", counting)
+    monkeypatch.setattr(_mincost, "_cycles", phase1)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return [tuple(counts) for counts in solves]
+
+
+def test_kernel_work_is_pinned(monkeypatch, tmp_path: Path) -> None:
+    # Equal outputs cannot show an extra pass; these counts can.
+    g = sweep_graph()
+    for budget, phase2 in ((None, 10), (compute_nid(g) // 2, 9)):
+        inst = kernel_instance(build_network(g, budget=budget))
+        assert dijkstra_passes(monkeypatch, lambda: python_solve(*inst)) == [(741, 0, phase2)]
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import workloads
+
+    inp = inputs.epoch_credit(100)
+    passes = dijkstra_passes(monkeypatch, lambda: workloads.store_pass(inp, tmp_path / "s"))
+    assert passes == [(358, 7, 15), (240, 0, 11)]

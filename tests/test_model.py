@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from setoff import (
     Acceptance,
@@ -14,6 +14,7 @@ from setoff import (
     Ledger,
     Obligation,
     SettlementFlow,
+    SetoffError,
     SettlementRecord,
     Tender,
     TenderKind,
@@ -244,6 +245,57 @@ def test_intent_from_obj_errors() -> None:
         intent_from_obj({"type": "promise", "id": "x"})
     with pytest.raises(IntentError):
         intent_from_obj("not an object")
+
+
+# JSON reads 1e400 as inf; Fraction raises ZeroDivisionError for "1/0" and
+# OverflowError for inf, and reads True as 1.
+BAD_PRICES = {"zero-denominator": "1/0", "infinite": float("inf"), "bool": True}
+
+
+@pytest.mark.parametrize("price", BAD_PRICES.values(), ids=BAD_PRICES.keys())
+def test_intent_from_obj_refuses_a_bad_price(price) -> None:
+    obj = {"type": "tender", "id": "t", "sender": "a", "source": "s",
+           "kind": "assignment", "max_amount": 5, "price": price}
+    with pytest.raises(IntentError, match="malformed intent"):
+        intent_from_obj(obj)
+
+
+# One well-formed object per intent type; the property test below sets one
+# field at a time to any JSON value, or drops it.
+WELL_FORMED = {
+    "obligation": {"id": "o", "debtor": "a", "creditor": "b", "amount": 5, "unit": "UOA",
+                   "due_date": "2027-01-31"},
+    "acceptance": {"id": "c", "origin": "a", "target": "b", "kind": "repayment",
+                   "currency": "UOA", "limit": 5, "repayment_due": "2027-01-31"},
+    "tender": {"id": "t", "sender": "a", "source": "s", "kind": "assignment",
+               "max_amount": 5, "price": "7/2"},
+}
+FIELDS = [(kind, field) for kind, obj in WELL_FORMED.items() for field in [*obj, "ascertainment"]]
+ABSENT = object()
+# Each kind of JSON value, with the ones that once broke intake, or any JSON value.
+json_like = st.sampled_from(
+    [ABSENT, None, True, -1, 2**80, float("inf"), float("nan"), "1/0", "", [], {}]
+) | st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("kind, field", FIELDS, ids=[f"{k}-{f}" for k, f in FIELDS])
+@settings(derandomize=True, max_examples=50, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(value=json_like)
+def test_intent_from_obj_returns_an_intent_or_a_setoff_error(kind, field, value) -> None:
+    obj = {"type": kind, **WELL_FORMED[kind], field: value}
+    if value is ABSENT:
+        del obj[field]
+    try:
+        intent = intent_from_obj(obj)
+    except SetoffError:
+        return
+    assert isinstance(intent, (Obligation, Acceptance, Tender))
 
 
 # --- ascertainment -------------------------------------------------------------
