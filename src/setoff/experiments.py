@@ -14,10 +14,17 @@ import hashlib
 import io
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AmountError, GraphBuildError
-from .graph import EpochPool, ObligationGraph, aggregate, build_network, net_positions
+from .graph import (
+    EpochPool,
+    ObligationGraph,
+    aggregate,
+    build_network,
+    net_positions,
+    resolve_tender,
+)
 from .model import KeyRegistry, Obligation, Tender, TenderKind, ascertain
 from .solver import solve_network
 
@@ -131,12 +138,19 @@ def attach_default_liquidity(
     g: ObligationGraph,
     placement: str = "net_debtors",
 ) -> ObligationGraph:
-    """Rebuild the graph with assignment tenders of the default source added.
+    """The graph with assignment tenders of the default source added.
 
     ``net_debtors`` places one tender per net debtor, capped at its net debit
     (the NID construction); ``all`` places one at every firm, capped at the
     total debt. Acceptances are the implicit unlimited ones of the default
     source. The new graph's pool is a copy; ``g`` is left as it was.
+
+    ``g`` must be the aggregate of its own pool. The result is then the
+    aggregate of the new pool, built without a second fold: each added tender
+    is a preverified assignment in the unit of account whose sender is already
+    one of g's firms, so only the tender edges change. g's admission
+    decisions stand: an intent that g excluded stays excluded and is not
+    checked again.
     """
     pool = g.pool
     if pool.default_source is None:
@@ -152,20 +166,21 @@ def attach_default_liquidity(
         chosen = [(a, cap) for a in sorted(positions) if a not in issuers]
     else:
         raise GraphBuildError(f"unknown placement {placement!r}")
+    added = []
     for agent, cap in chosen:
         if cap <= 0 or agent in issuers:
             continue
-        new.add(
-            Tender(
-                id=f"tender:default:{agent}",
-                sender=agent,
-                source=pool.default_source,
-                kind=TenderKind.ASSIGNMENT,
-                max_amount=cap,
-            ),
-            preverified=True,
+        tender = Tender(
+            id=f"tender:default:{agent}",
+            sender=agent,
+            source=pool.default_source,
+            kind=TenderKind.ASSIGNMENT,
+            max_amount=cap,
         )
-    return aggregate(new)
+        new.add(tender, preverified=True)
+        added.append(resolve_tender(new, tender))
+    tender_edges = sorted((*g.tender_edges, *added), key=lambda e: e.tender_id)
+    return replace(g, pool=new, tender_edges=tuple(tender_edges))
 
 
 @dataclass(frozen=True)
@@ -200,8 +215,12 @@ def multiplier_curve(
     payables = {a: p.payables for a, p in sorted(net_positions(g).items()) if p.payables}
     points = []
     for fraction in fractions:
-        if not math.isfinite(fraction) or fraction < 0:
-            raise AmountError(f"fraction must be finite and non-negative, got {fraction}")
+        # Not finite: a nan or infinite fraction, or one whose budget overflows a float.
+        if not math.isfinite(fraction * total) or fraction < 0:
+            raise AmountError(
+                f"fraction must be non-negative, with a finite budget on total debt "
+                f"{total}, got {fraction}"
+            )
         budget = int(fraction * total)
         cleared, by_debtor = _solve_point(g, budget)
         if payables:

@@ -14,7 +14,8 @@ Canonical serialization (byte-for-byte):
 
     ``limit`` is an integer or ``null`` (null means unlimited). ``price`` is a
     decimal or rational string such as ``"3"`` or ``"7/2"`` (unit-of-account
-    minor units per currency minor unit), or ``null`` for unit-of-account
+    minor units per currency minor unit) whose numerator and denominator in
+    lowest terms are at most ``MAX_AMOUNT``, or ``null`` for unit-of-account
     tenders. Dates are ``YYYY-MM-DD`` strings or ``null``. Ascertainment
     tokens are computed over exactly these bytes.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import hmac
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
@@ -178,6 +179,13 @@ class Tender:
                 raise IntentError(f"tender {self.id} price must be a Fraction")
             if self.price <= 0:
                 raise IntentError(f"tender {self.id} price must be positive")
+            # Compare, never str(): a price past Python's int-to-str digit limit
+            # could not even be printed.
+            if self.price.numerator > MAX_AMOUNT or self.price.denominator > MAX_AMOUNT:
+                raise IntentError(
+                    f"malformed intent: tender {self.id} price needs a numerator and "
+                    f"denominator of at most {MAX_AMOUNT}"
+                )
 
 
 Intent = Obligation | Acceptance | Tender
@@ -499,12 +507,20 @@ def _token(key: bytes, intent: Intent) -> str:
 
 
 def ascertain(intent: Intent, registry: KeyRegistry) -> Intent:
-    """Return a copy of ``intent`` carrying a valid ascertainment token."""
+    """Return a copy of ``intent`` carrying a valid ascertainment token.
+
+    The copy takes the intent's fields as they are: ``intent`` passed its
+    field checks when it was made, so they do not run again.
+    """
     party = bound_party(intent)
     key = registry.key_for(party)
     if key is None:
         raise IntentError(f"no key registered for {party}")
-    return replace(intent, ascertainment=_token(key, intent))
+    signed = object.__new__(type(intent))
+    for name in intent.__slots__:
+        object.__setattr__(signed, name, getattr(intent, name))
+    object.__setattr__(signed, "ascertainment", _token(key, intent))
+    return signed
 
 
 def verify_ascertainment(intent: Intent, registry: KeyRegistry) -> bool:

@@ -1677,7 +1677,7 @@ def test_cli_submit_non_object_line_is_json_on_stderr(
     assert pool.read_bytes() == before
 
 
-@pytest.mark.parametrize("price", ['"1/0"', "1e400", "true"])
+@pytest.mark.parametrize("price", ['"1/0"', "1e400", "true", '"1e5000"', '"1e-5000"'])
 def test_cli_submit_a_bad_price_is_json_on_stderr(tmp_path: Path, capsys, price: str) -> None:
     store = tmp_path / "s"
     submit_signed(make_engine(store), cycle_intents()[0])
@@ -1703,8 +1703,9 @@ SMALL_CONFIG = '{"nodes": 6, "edges": 10, "seed": 1}'
         (SMALL_CONFIG, "0,abc", "StateError"),
         ("[1]", "0,0.5", "StateError"),
         (SMALL_CONFIG, "0,nan", "AmountError"),
+        (SMALL_CONFIG, "0,1e308", "AmountError"),
     ],
-    ids=["abc", "list-config", "nan"],
+    ids=["abc", "list-config", "nan", "overflowing-budget"],
 )
 def test_cli_simulate_bad_input_is_json_on_stderr(
     tmp_path: Path, capsys, config: str, fractions: str, error: str

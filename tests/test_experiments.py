@@ -20,6 +20,7 @@ from setoff import (
     aggregate,
     ascertain,
     compute_nid,
+    experiments,
     kernel,
     verify_ascertainment,
 )
@@ -150,10 +151,14 @@ def test_sweep_graph_and_tokens_are_pinned() -> None:
 def test_generated_intents_are_signed_and_not_checked_again(monkeypatch) -> None:
     checked = counting_verify(monkeypatch)
     adds = counting_calls(monkeypatch, EpochPool, "add")
+    folds = counting_calls(monkeypatch, experiments, "aggregate")
+    made = counting_calls(monkeypatch, Obligation, "__post_init__")
     g = generate(SyntheticGraphConfig(nodes=30, edges=120, seed=3))
     equipped = attach_default_liquidity(g)
     assert checked == []
     assert len(adds) == 120 + len(equipped.pool.tenders)
+    assert len(folds) == 1  # generate's; the attachment folds nothing again
+    assert len(made) == 120  # signing copies an obligation without checking it again
     # Every preverified intent is signed, but for the default tenders the
     # attachment makes itself, which carry no token.
     for graph in (g, equipped):
@@ -182,7 +187,7 @@ def test_attach_copies_the_pool_and_keeps_its_checks(monkeypatch) -> None:
 
     checked = counting_verify(monkeypatch)
     equipped = attach_default_liquidity(g)
-    assert checked == ["bad"]  # the failed check is made again, the passed ones are not
+    assert checked == []  # g's exclusion of "bad" carries over unchecked, like its admissions
     assert ("bad", "ascertainment failed") in equipped.excluded
     assert before == ([dict(t) for t in (pool.obligations, pool.acceptances, pool.tenders)],
                       set(pool.preverified), [pool.held_by(a) for a in agents])
@@ -193,6 +198,54 @@ def test_attach_copies_the_pool_and_keeps_its_checks(monkeypatch) -> None:
     for intent in pool_intents(equipped.pool):
         by_add.add(intent)
     assert [equipped.pool.held_by(a) for a in agents] == [by_add.held_by(a) for a in agents]
+
+
+def graph_parts(g) -> tuple:
+    return g.nodes, g.edges, g.tender_edges, g.acceptance_edges, g.excluded
+
+
+@pytest.mark.parametrize("placement", ["net_debtors", "all"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_attach_builds_the_aggregate_of_its_pool(seed: int, placement: str) -> None:
+    g = generate(SyntheticGraphConfig(nodes=15, edges=40, seed=seed, amount_dist="lognormal"))
+    equipped = attach_default_liquidity(g, placement)
+    assert equipped.pool is not g.pool
+    assert graph_parts(equipped) == graph_parts(aggregate(equipped.pool))
+
+
+@pytest.mark.parametrize("placement", ["net_debtors", "all"])
+def test_attach_builds_the_aggregate_of_a_mixed_pool(placement: str) -> None:
+    # A foreign deposit acceptance, an overdraft backed by two repayment
+    # lines, a foreign tender without a price and a token that does not match.
+    pool = make_pool("a", "b", "c", "d", currencies={UNIT: HUB, "EURX": "bank"})
+    for k, (debtor, creditor, amount) in enumerate(
+        [("a", "b", 40), ("b", "c", 25), ("c", "d", 30), ("d", "a", 10), ("b", "d", 7)]
+    ):
+        add_signed(pool, Obligation(id=f"o{k}", debtor=debtor, creditor=creditor,
+                                    amount=amount, unit=UNIT))
+    add_signed(pool, Acceptance(id="acc:eurx", origin="c", target="bank",
+                                kind=AcceptanceKind.DEPOSIT, currency="EURX", limit=50))
+    for k, due in enumerate(["2027-03-01", "2027-01-31"]):
+        add_signed(pool, Acceptance(id=f"line{k}", origin="d", target="b",
+                                    kind=AcceptanceKind.REPAYMENT, currency=UNIT,
+                                    limit=6, repayment_due=due))
+    add_signed(pool, Tender(id="x:draw", sender="b", source="d",
+                            kind=TenderKind.OVERDRAFT, max_amount=20))
+    add_signed(pool, Tender(id="t:eurx", sender="a", source="bank",
+                            kind=TenderKind.ASSIGNMENT, max_amount=9))
+    good = ascertain(Obligation(id="o:bad", debtor="a", creditor="c", amount=9, unit=UNIT),
+                     pool.registry)
+    pool.add(dataclasses.replace(good, amount=90))
+    g = aggregate(pool)
+    assert ("t:eurx", "tender has no price for EURX") in g.excluded
+    assert ("o:bad", "ascertainment failed") in g.excluded
+    assert [te.tender_id for te in g.tender_edges] == ["x:draw"]
+    assert g.tender_edges[0].matched_acceptances == ("line1", "line0")
+    assert "acc:eurx" in [ae.edge_id for ae in g.acceptance_edges]
+
+    equipped = attach_default_liquidity(g, placement)
+    assert len(equipped.pool.tenders) > 2
+    assert graph_parts(equipped) == graph_parts(aggregate(equipped.pool))
 
 
 def test_attach_all_places_tenders_everywhere() -> None:
@@ -279,7 +332,7 @@ def test_curve_rejects_negative_budget() -> None:
     add_signed(pool, Obligation(id="o", debtor="x", creditor="y", amount=10, unit=UNIT))
     g = attach_default_liquidity(aggregate(pool))
     # -0.05 of 10 truncates to budget 0; it is refused all the same.
-    for bad in (-0.5, -0.05, -1e-12, math.nan, math.inf, -math.inf):
+    for bad in (-0.5, -0.05, -1e-12, math.nan, math.inf, -math.inf, 1e308):
         with pytest.raises(AmountError, match="non-negative"):
             multiplier_curve(g, [0.5, bad])
 

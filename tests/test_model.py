@@ -167,7 +167,9 @@ intent_strategy = st.one_of(
         max_amount=st.integers(min_value=0, max_value=10**9),
         price=st.one_of(
             st.none(),
-            st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000)),
+            # Prices in range: numerator and denominator at most MAX_AMOUNT.
+            st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000),
+                         max_denominator=MAX_AMOUNT // 1000),
         ),
     ),
 )
@@ -248,8 +250,11 @@ def test_intent_from_obj_errors() -> None:
 
 
 # JSON reads 1e400 as inf; Fraction raises ZeroDivisionError for "1/0" and
-# OverflowError for inf, and reads True as 1.
-BAD_PRICES = {"zero-denominator": "1/0", "infinite": float("inf"), "bool": True}
+# OverflowError for inf, and reads True as 1. "1e5000" and "1e-5000" parse, to
+# a numerator or a denominator past MAX_AMOUNT that str() could not print.
+BAD_PRICES = {"zero-denominator": "1/0", "infinite": float("inf"), "bool": True,
+              "huge": "1e5000", "tiny": "1e-5000", "past-the-bound": str(MAX_AMOUNT + 1),
+              "denominator-past-the-bound": f"1/{MAX_AMOUNT + 1}"}
 
 
 @pytest.mark.parametrize("price", BAD_PRICES.values(), ids=BAD_PRICES.keys())
@@ -258,6 +263,14 @@ def test_intent_from_obj_refuses_a_bad_price(price) -> None:
            "kind": "assignment", "max_amount": 5, "price": price}
     with pytest.raises(IntentError, match="malformed intent"):
         intent_from_obj(obj)
+
+
+@pytest.mark.parametrize("price", [str(MAX_AMOUNT), f"1/{MAX_AMOUNT}",
+                                   f"{MAX_AMOUNT}/{MAX_AMOUNT - 1}"])
+def test_intent_from_obj_takes_a_price_at_the_bound(price: str) -> None:
+    obj = {"type": "tender", "id": "t", "sender": "a", "source": "s",
+           "kind": "assignment", "max_amount": 5, "price": price}
+    assert intent_from_obj(obj).price == Fraction(price)
 
 
 # One well-formed object per intent type; the property test below sets one
