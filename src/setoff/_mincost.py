@@ -6,11 +6,13 @@ saturate every arc of negative reduced cost, then route the excess this
 leaves back at minimum cost (``_saturate``). Routing goes one cost level at a
 time (``_route``; primal-dual, Ahuja, Magnanti & Orlin, *Network Flows*,
 ch. 9). One Dijkstra pass with Johnson potentials finds the shortest path;
-its distances are folded into the potentials, so every residual arc keeps a
-non-negative reduced cost, and Dinic-style blocking flows are pushed over the
-arcs of zero reduced cost until the sink is unreachable over them or a limit
-is met. Every such path is a shortest path, so the flow stays min-cost for
-its value, and each pass finds a new, dearer level.
+its heap holds the ints ``d * size + v``, which order as the pairs ``(d, v)``
+do, so nodes pop by distance with ties on node index. Its distances are
+folded into the potentials, so every residual arc keeps a non-negative
+reduced cost, and Dinic-style blocking flows are pushed over the arcs of zero
+reduced cost until the sink is unreachable over them or a limit is met.
+Every such path is a shortest path, so the flow stays min-cost for its
+value, and each pass finds a new, dearer level.
 
 Phase 1 (cycle component) saturates every obligation arc (cost -1), which
 leaves each node an imbalance equal to its net position, and routes it back:
@@ -20,7 +22,8 @@ Phase 1 differs only in its routing: it pushes one shortest path per pass
 (``_push_path``), not one cost level. By cost level the ``simulate`` sweep
 runs about ten times faster, but the benchmark keeps every sweep pass's
 graph, so its peak memory would then break its bound; phase 1 follows once
-the benchmark stops that (ROADMAP item 1).
+the benchmark stops that (ROADMAP item 1), and so does ending a Dijkstra pass
+as soon as no node nearer than the sink is left, for the same reason.
 
 Phase 2 (chain component), per currency stage. A tender is an arc into its
 node from the source S, or from a pot node P when it names one. A pot is an
@@ -62,14 +65,19 @@ def _add_arc(to, res, cost, adj, u: int, v: int, cap: int, c: int) -> int:
 
 
 def _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred) -> bool:
-    """Shortest src->snk path by reduced cost; True if snk is reachable."""
-    for v in range(len(dist)):
-        dist[v] = INF
-        pred[v] = -1
+    """Shortest src->snk path by reduced cost; True if snk is reachable.
+
+    A heap key is the int ``d * size + v``: with ``0 <= v < size`` ints order
+    as the pairs ``(d, v)`` do, so ties still break on node index. ``pred``
+    is not reset: only ``_push_path`` reads it, along the path to snk found in
+    this pass, and every node on that path was reached in this pass.
+    """
+    size = len(dist)
+    dist[:] = [INF] * size
     dist[src] = 0
-    heap: list[tuple[int, int]] = [(0, src)]
+    heap = [src]
     while heap:
-        d, u = heappop(heap)
+        d, u = divmod(heappop(heap), size)
         if d > dist[u]:
             continue
         if u == snk:
@@ -83,7 +91,7 @@ def _dijkstra(src, snk, to, res, cost, adj, pi, dist, pred) -> bool:
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = i
-                heappush(heap, (nd, v))
+                heappush(heap, nd * size + v)
     return dist[snk] < INF
 
 
@@ -110,8 +118,7 @@ def _fold(pi, dist, d_snk: int) -> None:
     Afterwards no residual arc has negative reduced cost, and the arcs of
     every shortest src->snk path have reduced cost zero.
     """
-    for w in range(len(pi)):
-        pi[w] += dist[w] if dist[w] < d_snk else d_snk
+    pi[:] = [p + (d if d < d_snk else d_snk) for p, d in zip(pi, dist)]
 
 
 def _blocking_flows(src, snk, to, res, cost, adj, pi, limit: int) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hmac
 import json
+import sys
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -361,6 +362,28 @@ def intent_to_obj(intent: Intent, include_ascertainment: bool = True) -> dict:
     return obj
 
 
+def _price(price: object) -> Fraction:
+    """``Fraction(price)``, refusing first a decimal exponent no price in range has.
+
+    ``Fraction("1e<exp>")`` builds ``10**exp`` in full, which takes seconds
+    once exp runs to millions. ``int()`` reads each digit run of a price
+    string, so none has more than ``sys.get_int_max_str_digits()`` digits
+    (the string's length when that limit is off). A price whose numerator
+    and denominator are at most MAX_AMOUNT, 19 digits, then has an exponent
+    of at most that many digits plus 18 either way; the bound allows one more.
+    """
+    if isinstance(price, str):
+        _, e, exp = price.lower().rpartition("e")
+        try:
+            exponent = abs(int(exp)) if e else 0
+        except ValueError:  # no exponent after all: Fraction reads or refuses it
+            exponent = 0
+        bound = (sys.get_int_max_str_digits() or len(price)) + len(str(MAX_AMOUNT))
+        if exponent > bound:
+            raise IntentError(f"malformed intent: price exponent beyond +-{bound}")
+    return Fraction(price)
+
+
 def intent_from_obj(obj: dict) -> Intent:
     """Parse a JSON object back into an intent; inverse of intent_to_obj."""
     if not isinstance(obj, dict):
@@ -399,7 +422,7 @@ def intent_from_obj(obj: dict) -> Intent:
                 source=obj["source"],
                 kind=TenderKind(obj["kind"]),
                 max_amount=obj["max_amount"],
-                price=None if price is None else Fraction(price),
+                price=None if price is None else _price(price),
                 ascertainment=token,
             )
     except KeyError as exc:

@@ -1,11 +1,13 @@
 """Shared fixtures for the test suite: deterministic keys, small pools, and
-the checks only tests use: a debug dump of a graph and an exhaustive oracle."""
+the checks only tests use: a debug dump of a graph, an exhaustive oracle, and
+a plain shortest-path pass the kernel's own is compared with."""
 
 from __future__ import annotations
 
 import hashlib
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from setoff import (
     Acceptance,
@@ -22,6 +24,7 @@ from setoff import (
     ascertain,
     compute_nid,
 )
+from setoff._mincost import INF
 from setoff.model import MAX_AMOUNT
 import setoff.graph as graph_module
 
@@ -403,3 +406,36 @@ def brute_force_oracle(g: ObligationGraph, budget: int) -> int:
 
     search(0, 0)
     return best
+
+
+def reference_dijkstra(src, snk, to, res, cost, adj, pi, dist, pred) -> bool:
+    """``_mincost._dijkstra`` written plainly: ``(d, v)`` heap pairs, and a
+    reset of ``dist`` and ``pred`` on every pass."""
+    for v in range(len(dist)):
+        dist[v] = INF
+        pred[v] = -1
+    dist[src] = 0
+    heap: list[tuple[int, int]] = [(0, src)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == snk:
+            return True
+        base = d + pi[u]
+        for i in adj[u]:
+            if res[i] <= 0:
+                continue
+            v = to[i]
+            nd = base + cost[i] - pi[v]
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = i
+                heappush(heap, (nd, v))
+    return dist[snk] < INF
+
+
+def reference_fold(pi, dist, d_snk: int) -> None:
+    """``_mincost._fold`` written plainly, one node at a time."""
+    for w in range(len(pi)):
+        pi[w] += dist[w] if dist[w] < d_snk else d_snk

@@ -1677,7 +1677,8 @@ def test_cli_submit_non_object_line_is_json_on_stderr(
     assert pool.read_bytes() == before
 
 
-@pytest.mark.parametrize("price", ['"1/0"', "1e400", "true", '"1e5000"', '"1e-5000"'])
+@pytest.mark.parametrize("price", ['"1/0"', "1e400", "true", '"1e5000"', '"1e-5000"',
+                                   '"1e100000000"'])
 def test_cli_submit_a_bad_price_is_json_on_stderr(tmp_path: Path, capsys, price: str) -> None:
     store = tmp_path / "s"
     submit_signed(make_engine(store), cycle_intents()[0])

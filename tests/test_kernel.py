@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from setoff import _mincost, kernel
-from setoff._mincost import solve as python_solve
+from setoff._mincost import INF, solve as python_solve
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.graph import build_network, compute_nid
 
-from support import credit_epoch
+from support import credit_epoch, reference_dijkstra, reference_fold
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -85,6 +85,63 @@ def test_kernel_postconditions_random() -> None:
 def test_solve_min_cost_dispatches_to_active_backend() -> None:
     inst = random_instance(3)
     assert kernel.solve_min_cost(*inst) == python_solve(*inst)
+
+
+# --- the shortest-path pass against its reference -------------------------------
+
+
+def pred_path(src, snk, to, pred, size: int):
+    """The arcs of the pred path back from snk to src, or None if it never gets there."""
+    path = []
+    v = snk
+    while v != src and len(path) < size:
+        path.append(pred[v])
+        v = to[pred[v] ^ 1]
+    return path if v == src else None
+
+
+def test_dijkstra_and_fold_match_their_reference() -> None:
+    # The heap key d * size + v must pop nodes in the order the pair (d, v)
+    # does, ties included, and each pass must start from fresh distances
+    # though not from fresh preds. Potentials near 2**60 give arc costs near
+    # 2**60, and reduced costs of 2**58 put heap keys past 2**60, some past
+    # 2**64; most reduced costs are zero, so ties abound. Each pass pushes
+    # the reference's path, so both passes meet the same residual graph the
+    # next time.
+    passes = big = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        to: list[int] = []
+        res: list[int] = []
+        cost: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(n)]
+        pi = [rng.choice((0, 2**60)) + rng.randint(0, 3) for _ in range(n)]
+        for _ in range(rng.randint(n, 4 * n)):
+            u, v = rng.sample(range(n), 2)
+            reduced = rng.choice((0, 0, 0, 1, 2**58 - rng.randint(0, 9), 2**58))
+            i = _mincost._add_arc(to, res, cost, adj, u, v, rng.randint(1, 5),
+                                  pi[v] - pi[u] + reduced)
+            if reduced == 0:
+                res[i ^ 1] = rng.randint(0, 2)
+        src, snk = rng.sample(range(n), 2)
+        ref_pi = pi[:]
+        dist, pred, ref_dist, ref_pred = [INF] * n, [-1] * n, [INF] * n, [-1] * n
+        while True:
+            found = _mincost._dijkstra(src, snk, to, res, cost, adj, pi, dist, pred)
+            assert found == reference_dijkstra(src, snk, to, res, cost, adj, ref_pi,
+                                               ref_dist, ref_pred), seed
+            assert dist[snk] == ref_dist[snk], seed
+            if not found:
+                break
+            assert pred_path(src, snk, to, pred, n) == pred_path(src, snk, to, ref_pred, n)
+            _mincost._fold(pi, dist, dist[snk])
+            reference_fold(ref_pi, ref_dist, ref_dist[snk])
+            assert pi == ref_pi, seed
+            _mincost._push_path(src, snk, to, res, ref_pred, INF)
+            passes += 1
+            big += any(2**58 <= d < INF for d in dist)
+    assert passes > 500 and big > 150, (passes, big)
 
 
 # --- one stage against networkx ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Intent model, canonical serialization, ascertainment, and ledger state."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from setoff import (
     bound_party,
     verify_ascertainment,
 )
+from setoff import model
 from setoff.engine import canonical_dumps
 from setoff.model import (
     MAX_AMOUNT,
@@ -250,27 +252,55 @@ def test_intent_from_obj_errors() -> None:
 
 
 # JSON reads 1e400 as inf; Fraction raises ZeroDivisionError for "1/0" and
-# OverflowError for inf, and reads True as 1. "1e5000" and "1e-5000" parse, to
-# a numerator or a denominator past MAX_AMOUNT that str() could not print.
+# OverflowError for inf, and reads True as 1. "1e5000" and "1e-5000" would
+# parse, to a numerator or a denominator past MAX_AMOUNT that str() could not
+# print; "1e100000000" would take minutes to.
 BAD_PRICES = {"zero-denominator": "1/0", "infinite": float("inf"), "bool": True,
               "huge": "1e5000", "tiny": "1e-5000", "past-the-bound": str(MAX_AMOUNT + 1),
-              "denominator-past-the-bound": f"1/{MAX_AMOUNT + 1}"}
+              "denominator-past-the-bound": f"1/{MAX_AMOUNT + 1}",
+              "huge-exponent": "1e100000000"}
+
+
+def priced_tender(price) -> dict:
+    return {"type": "tender", "id": "t", "sender": "a", "source": "s",
+            "kind": "assignment", "max_amount": 5, "price": price}
 
 
 @pytest.mark.parametrize("price", BAD_PRICES.values(), ids=BAD_PRICES.keys())
 def test_intent_from_obj_refuses_a_bad_price(price) -> None:
-    obj = {"type": "tender", "id": "t", "sender": "a", "source": "s",
-           "kind": "assignment", "max_amount": 5, "price": price}
     with pytest.raises(IntentError, match="malformed intent"):
-        intent_from_obj(obj)
+        intent_from_obj(priced_tender(price))
 
 
 @pytest.mark.parametrize("price", [str(MAX_AMOUNT), f"1/{MAX_AMOUNT}",
                                    f"{MAX_AMOUNT}/{MAX_AMOUNT - 1}"])
 def test_intent_from_obj_takes_a_price_at_the_bound(price: str) -> None:
-    obj = {"type": "tender", "id": "t", "sender": "a", "source": "s",
-           "kind": "assignment", "max_amount": 5, "price": price}
-    assert intent_from_obj(obj).price == Fraction(price)
+    assert intent_from_obj(priced_tender(price)).price == Fraction(price)
+
+
+def test_intent_from_obj_takes_the_largest_exponents_a_price_in_range_has() -> None:
+    # Each digit run of a price string has at most the int-to-str limit's
+    # digits, so these are as far as an exponent can reach either way.
+    digits = sys.get_int_max_str_digits()
+    for price, value in [(f"0.{'0' * (digits - 1)}1e{digits + 18}", 10**18),
+                         (f"5{'0' * (digits - 1)}e-{digits + 18}", Fraction(1, 2 * 10**18))]:
+        assert intent_from_obj(priced_tender(price)).price == value
+
+
+def test_intent_from_obj_refuses_a_huge_exponent_before_fraction_sees_it(monkeypatch) -> None:
+    # Fraction("1e100000000") builds 10**100000000 in full; the stand-in
+    # records its arguments and refuses every price, so nothing is built.
+    seen = []
+
+    def fraction(*args):
+        seen.append(args)
+        raise ValueError("not built")
+
+    monkeypatch.setattr(model, "Fraction", fraction)
+    for price in ("1e100000000", "7/2"):
+        with pytest.raises(IntentError, match="malformed intent"):
+            intent_from_obj(priced_tender(price))
+    assert seen == [("7/2",)]
 
 
 # One well-formed object per intent type; the property test below sets one
