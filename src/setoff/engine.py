@@ -34,8 +34,9 @@ not open as a store, and a second ``init`` there completes it.
 ``run`` writes the full outcome to ``applied.json`` first and only then
 mutates ledger and state; a crash at any point either leaves the old state
 intact or leaves a complete commit log that the next ``run`` replays. A
-commit log of an applied epoch without its ledger or notices is a
-``StateError`` naming it, raised before any write. After each epoch,
+commit log of another epoch than the frozen one, with a status other than
+applied or failed, or of an applied epoch without its ledger or notices, is
+a ``StateError`` naming it, raised before any write. After each epoch,
 applied or failed, every repayment obligation (an ``ob:od:`` id) still open
 in the ledger re-enters the next epoch's pool at its open amount. The
 store has a single writer, because an engine reads each store file once and
@@ -120,7 +121,7 @@ def _read_log(path: Path) -> list[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
             raise StateError(f"{path}:{n}: not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise StateError(f"{path}:{n}: not a JSON object")
@@ -172,9 +173,14 @@ def _parse_report(obj) -> dict:
     return obj
 
 
-def _parse_wal(obj) -> dict:
+def _parse_wal(obj, epoch: int) -> dict:
+    """A commit log of the frozen ``epoch``, whole enough to replay."""
     if not {"epoch", "flow", "report", "status"} <= obj.keys():
         raise ValueError("not a whole commit log")
+    if type(obj["epoch"]) is not int or obj["epoch"] != epoch:
+        raise ValueError(f"epoch {obj['epoch']!r} is not the frozen epoch {epoch}")
+    if obj["status"] not in ("applied", "failed"):
+        raise ValueError(f"status {obj['status']!r} is neither applied nor failed")
     if obj["status"] == "applied":  # an applied epoch carries its settlement
         Ledger.from_obj(obj["ledger"])
         if not isinstance(obj["notices_csv"], str):
@@ -411,7 +417,7 @@ class ClearingEngine:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
                 raise IntentError(f"{path}:{i}: not valid JSON: {exc}") from exc
             try:
                 accepted[obj.get("id", "?")] = self.submit_intent(obj)
@@ -455,7 +461,8 @@ class ClearingEngine:
         """
         wal_path = self._epoch_dir(self.epoch) / "applied.json"
         if self.phase == PHASE_FROZEN and wal_path.exists():
-            return self._commit_from_wal(_read_json(wal_path, _parse_wal))
+            wal = _read_json(wal_path, lambda obj: _parse_wal(obj, self.epoch))
+            return self._commit_from_wal(wal)
         if self.phase != PHASE_FROZEN:
             raise StateError(f"epoch {self.epoch} is open; freeze it before running")
 

@@ -121,7 +121,14 @@ def generate(config: SyntheticGraphConfig) -> ObligationGraph:
         if config.amount_dist == "uniform":
             amount = rng.randint(config.amount_low, config.amount_high)
         else:
-            amount = max(1, round(rng.lognormvariate(config.lognormal_mu, config.lognormal_sigma)))
+            try:
+                amount = max(1, round(rng.lognormvariate(config.lognormal_mu,
+                                                         config.lognormal_sigma)))
+            except OverflowError as exc:
+                raise AmountError(
+                    f"lognormal amount with mu {config.lognormal_mu} and sigma"
+                    f" {config.lognormal_sigma} overflows: {exc}"
+                ) from exc
         ob = Obligation(
             id=f"ob:{k:05d}",
             debtor=firms[i],

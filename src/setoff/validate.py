@@ -8,6 +8,12 @@ A flow may only be applied if it passes five checks, run in order:
 4. PairedRecords: every edge settles with one matching record per party.
 5. NonNegativeBalance: applying the transfers overdraws nobody but issuers.
 
+Checks 2 and 3 read one rule. On each edge one endpoint pays and one
+receives: an obligation's debtor pays its creditor, a tender's sender
+receives, and a deposit acceptance's origin pays; the issuer end of a tender
+or acceptance stays outside firm balances. A party's flow on an edge is the
+sum of its records there, halved when both endpoints are one party.
+
 The first failing check stops the run, since later checks assume the earlier
 ones hold. Edge capacities are re-derived here from the raw pool intents,
 through the resolvers aggregation uses, not read back from the aggregated
@@ -26,6 +32,7 @@ from fractions import Fraction
 
 from .graph import (
     DEFAULT_ACCEPT_PREFIX,
+    EpochPool,
     ObligationGraph,
     accept_cap,
     resolve_deposit,
@@ -72,11 +79,15 @@ def _fail(check: str, violations: list[Violation]) -> ValidationReport:
 
 @dataclass(frozen=True)
 class _EdgeSpec:
-    """One settleable edge: its record parties and unit-of-account capacity."""
+    """One settleable edge: its record parties and unit-of-account capacity.
 
-    kind: str  # "obligation" | "tender" | "acceptance"
-    endpoints: tuple[AgentId, AgentId]  # obligation: (debtor, creditor);
-    # tender: (issuer, sender); acceptance: (origin, issuer)
+    ``payer`` and ``payee`` are the firms that pay and receive its flow; an
+    issuer end is None.
+    """
+
+    endpoints: tuple[AgentId, AgentId]
+    payer: AgentId | None
+    payee: AgentId | None
     cap: int | None  # None = unlimited
 
 
@@ -92,49 +103,49 @@ def _stage_min_prices(pool) -> dict[str, Fraction]:
 
 
 def _resolve_ref(
-    g: ObligationGraph,
+    pool: EpochPool,
+    nodes: set[AgentId],
     ref: str,
     min_prices: dict[str, Fraction],
-) -> tuple[_EdgeSpec | None, str | None]:
-    pool = g.pool
-
+) -> _EdgeSpec | str:
+    """The edge a record reference settles, or why it settles none."""
     ob = pool.obligations.get(ref)
     if ob is not None:
         if ob.unit != pool.unit:
-            return None, f"obligation unit {ob.unit} is not the epoch unit {pool.unit}"
-        return _EdgeSpec("obligation", (ob.debtor, ob.creditor), ob.amount), None
+            return f"obligation unit {ob.unit} is not the epoch unit {pool.unit}"
+        return _EdgeSpec((ob.debtor, ob.creditor), ob.debtor, ob.creditor, ob.amount)
 
     tender = pool.tenders.get(ref)
     if tender is not None:
         te = resolve_tender(pool, tender)
         if isinstance(te, str):
-            return None, te
+            return te
         # The declared economic cap only. Whether the payer can fund the
         # transfers is NonNegativeBalance's job: a draw that exits at its own
         # facility needs no assets at all.
-        return _EdgeSpec("tender", (te.issuer, te.sender), te.cap), None
+        return _EdgeSpec((te.issuer, te.sender), None, te.sender, te.cap)
 
     acc = pool.acceptances.get(ref)
     if acc is not None:
         if acc.kind is not AcceptanceKind.DEPOSIT:
-            return None, "repayment acceptances carry no settlement flow"
+            return "repayment acceptances carry no settlement flow"
         ae = resolve_deposit(pool, acc)
         if isinstance(ae, str):
-            return None, ae
+            return ae
         cap = accept_cap(ae, pool.unit, min_prices)
-        return _EdgeSpec("acceptance", (ae.origin, ae.issuer), cap), None
+        return _EdgeSpec((ae.origin, ae.issuer), ae.origin, None, cap)
 
     if ref.startswith(DEFAULT_ACCEPT_PREFIX):
         agent = ref[len(DEFAULT_ACCEPT_PREFIX):]
         if pool.default_source is None:
-            return None, "no default liquidity source is configured"
-        if agent in set(pool.currencies.values()):
-            return None, f"issuer {agent} holds no default acceptance"
-        if agent not in g.nodes:
-            return None, f"{agent} is not part of the obligation graph"
-        return _EdgeSpec("acceptance", (agent, pool.default_source), None), None
+            return "no default liquidity source is configured"
+        if pool.asset_of(agent) is not None:
+            return f"issuer {agent} holds no default acceptance"
+        if agent not in nodes:
+            return f"{agent} is not part of the obligation graph"
+        return _EdgeSpec((agent, pool.default_source), agent, None, None)
 
-    return None, "unknown edge reference"
+    return "unknown edge reference"
 
 
 def is_valid_flow(
@@ -166,77 +177,46 @@ def is_valid_flow(
 
     # 2. SubsetFlow
     min_prices = _stage_min_prices(pool)
+    nodes = set(g.nodes)
     specs: dict[str, _EdgeSpec] = {}
     for ref in sorted(refs):
-        spec, err = _resolve_ref(g, ref, min_prices)
-        if spec is None:
-            violations.append(Violation("SubsetFlow", (ref,), err or "unresolvable"))
+        spec = _resolve_ref(pool, nodes, ref, min_prices)
+        if isinstance(spec, str):
+            violations.append(Violation("SubsetFlow", (ref,), spec))
         else:
             specs[ref] = spec
+    flows: dict[str, dict[AgentId, int]] = {}  # each party's flow per reference
     for ref in sorted(refs):
-        recs = refs[ref]
-        if any(rec.amount <= 0 for rec in recs):
+        if any(rec.amount <= 0 for rec in refs[ref]):
             violations.append(
                 Violation("SubsetFlow", (ref,), "record amounts must be positive")
             )
             continue
         spec = specs.get(ref)
-        if spec is None or spec.cap is None:
+        if spec is None:
             continue
-        by_party: dict[AgentId, int] = {}
-        for rec in recs:
-            by_party[rec.party] = by_party.get(rec.party, 0) + rec.amount
-        # When an edge's endpoints coincide, the pair of records lands on one
-        # party, so its sum counts the flow twice.
-        self_pair = spec.endpoints[0] == spec.endpoints[1]
-        for party in sorted(by_party):
-            amount = by_party[party] // 2 if self_pair else by_party[party]
-            if amount > spec.cap:
-                violations.append(
-                    Violation(
-                        "SubsetFlow",
-                        (ref,),
-                        f"flow {amount} exceeds capacity {spec.cap}",
-                    )
-                )
-                break
+        sums: dict[AgentId, int] = {}
+        for rec in refs[ref]:
+            sums[rec.party] = sums.get(rec.party, 0) + rec.amount
+        if spec.endpoints[0] == spec.endpoints[1]:
+            # An issuer tendering its own currency, or taking deposits of it:
+            # both records of the pair name it for one flow.
+            sums = {party: total // 2 for party, total in sums.items()}
+        flows[ref] = sums
+        if spec.cap is not None and max(sums.values()) > spec.cap:
+            over = min(party for party, amount in sums.items() if amount > spec.cap)
+            detail = f"flow {sums[over]} exceeds capacity {spec.cap}"
+            violations.append(Violation("SubsetFlow", (ref,), detail))
     if violations:
         return _fail("SubsetFlow", violations)
 
     # 3. BalancedFlow
     inflow: dict[AgentId, int] = {}
     outflow: dict[AgentId, int] = {}
-    for ref, recs in refs.items():
-        spec = specs[ref]
-        if spec.kind == "obligation":
-            debtor, creditor = spec.endpoints
-            for rec in recs:
-                if rec.party == debtor:
-                    outflow[debtor] = outflow.get(debtor, 0) + rec.amount
-                elif rec.party == creditor:
-                    inflow[creditor] = inflow.get(creditor, 0) + rec.amount
-        elif spec.kind == "tender":
-            issuer, sender = spec.endpoints
-            if issuer == sender:
-                # An issuer tendering its own currency: the pair of records
-                # describes a single inflow at the firm role.
-                total = sum(rec.amount for rec in recs if rec.party == sender)
-                inflow[sender] = inflow.get(sender, 0) + total // 2
-            else:
-                for rec in recs:
-                    if rec.party == sender:
-                        inflow[sender] = inflow.get(sender, 0) + rec.amount
-        else:
-            origin, acc_issuer = spec.endpoints
-            if origin == acc_issuer:
-                # The issuer taking deposits of its own currency: one outflow
-                # at the firm role, described by the record pair.
-                total = sum(rec.amount for rec in recs if rec.party == origin)
-                outflow[origin] = outflow.get(origin, 0) + total // 2
-            else:
-                for rec in recs:
-                    if rec.party == origin:
-                        outflow[origin] = outflow.get(origin, 0) + rec.amount
+    for ref, spec in specs.items():
+        for agent, totals in ((spec.payer, outflow), (spec.payee, inflow)):
+            if agent is not None:
+                totals[agent] = totals.get(agent, 0) + flows[ref].get(agent, 0)
     for agent in sorted(set(inflow) | set(outflow)):
         got, paid = inflow.get(agent, 0), outflow.get(agent, 0)
         if got != paid:

@@ -1441,6 +1441,27 @@ def test_complete_non_object_log_line_is_json_on_stderr(
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("log, line, detail", [
+    ("keys.jsonl", "1" * 5000, "not valid JSON"),  # past the int digit limit
+    ("epochs/00000/pool.jsonl", "1" * 5000, "not valid JSON"),
+    ("keys.jsonl", '{"agent":"A"}', "not a key line"),
+], ids=["keys-oversized-int", "pool-oversized-int", "keys-no-key"])
+def test_a_bad_log_line_is_json_on_stderr(
+    tmp_path: Path, capsys, log: str, line: str, detail: str
+) -> None:
+    engine = make_engine(tmp_path / "s")
+    submit_signed(engine, cycle_intents()[0])
+    path = tmp_path / "s" / log
+    n = len(path.read_text().splitlines()) + 1
+    with path.open("a") as f:
+        f.write(line + "\n")
+    code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), "nid")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{path}:{n}: {detail}")
+
+
 # --- CLI -------------------------------------------------------------------------
 
 
@@ -1537,6 +1558,7 @@ def test_cli_errors_are_json_on_stderr(tmp_path: Path, capsys) -> None:
         ("state.json", lambda text: text[: len(text) // 2]),  # truncated
         ("state.json", lambda text: '{"phase":"open"}\n'),  # no epoch
         ("state.json", lambda text: '{"epoch":"0","phase":"open"}\n'),
+        ("state.json", lambda text: '{"epoch":0,"phase":"closed"}\n'),
         ("ledger.json", lambda text: "garbage\n"),
         ("ledger.json", lambda text: '{"balances":{"A":{"UOA":"7"}}}\n'),
         ("config.json", lambda text: "[]\n"),
@@ -1568,6 +1590,19 @@ def test_cli_names_a_truncated_report(tmp_path: Path, capsys) -> None:
     assert error["detail"].startswith(f"{path}: JSONDecodeError")
 
 
+def test_cli_names_a_report_missing_its_keys(tmp_path: Path, capsys) -> None:
+    engine = funded_cycle_engine(tmp_path / "s")
+    engine.freeze()
+    engine.run()
+    path = engine._epoch_dir(0) / "report.json"
+    path.write_text('{"epoch":0}\n')
+    code, out, err = run_cli(capsys, "--store", str(tmp_path / "s"), "report")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "StateError", "detail": f"{path}: ValueError: not a whole report"
+    }
+
+
 def test_a_truncated_flow_is_named(tmp_path: Path) -> None:
     engine = funded_cycle_engine(tmp_path / "s")
     engine.freeze()
@@ -1595,7 +1630,13 @@ def test_a_corrupt_commit_log_is_named_on_replay(tmp_path: Path, capsys) -> None
     lambda wal: wal.pop("ledger"),
     lambda wal: wal.pop("notices_csv"),
     lambda wal: wal.update(ledger=[]),
-], ids=["no_ledger", "no_notices", "ledger_not_an_object"])
+    lambda wal: wal.update(notices_csv=7),
+    lambda wal: wal.pop("flow"),
+    lambda wal: wal.update(epoch="x"),
+    lambda wal: wal.update(epoch=7),
+    lambda wal: wal.update(status="weird"),
+], ids=["no_ledger", "no_notices", "ledger_not_an_object", "notices_not_text", "no_flow",
+        "epoch_not_a_number", "another_epoch", "unknown_status"])
 def test_a_commit_log_without_its_settlement_is_named_before_any_write(
     tmp_path: Path, damage
 ) -> None:
@@ -1625,6 +1666,20 @@ def test_cli_init_refuses_a_negative_fund_and_leaves_the_path_free(
     code, _, _ = run_cli(capsys, "--store", store, "init", "--default-source", HUB,
                          "--fund", f"{HUB}:{UNIT}:-5", "--fund", f"B:{UNIT}:5")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fund", f"A:{UNIT}"], ["--fund", f"A:{UNIT}:x"], ["--currency", "EURX"],
+    ["--currency", "=bank"],
+])
+def test_cli_init_refuses_a_malformed_spec(tmp_path: Path, capsys, argv: list[str]) -> None:
+    store = tmp_path / "s"
+    code, out, err = run_cli(capsys, "--store", str(store), "init", *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "StateError"
+    assert error["detail"].startswith(f"{argv[0]} expects ")
+    assert not (store / "config.json").exists()
 
 
 def test_cli_init_with_a_bad_config_leaves_the_path_free(tmp_path: Path, capsys) -> None:
@@ -1658,9 +1713,14 @@ def test_cli_simulate(tmp_path: Path, capsys) -> None:
     assert float(last[1]) == 1.0  # budget = total debt always clears everything
 
 
-@pytest.mark.parametrize("line", ["[1,2]", '"x"', "7"])
+@pytest.mark.parametrize("line, detail", [
+    ("[1,2]", "intent must be an object"),
+    ('"x"', "intent must be an object"),
+    ("7", "intent must be an object"),
+    ("1" * 5000, "not valid JSON"),  # past the int digit limit: a ValueError
+], ids=["[1,2]", '"x"', "7", "oversized-int"])
 def test_cli_submit_non_object_line_is_json_on_stderr(
-    tmp_path: Path, capsys, line: str
+    tmp_path: Path, capsys, line: str, detail: str
 ) -> None:
     store = tmp_path / "s"
     engine = make_engine(store)
@@ -1673,7 +1733,7 @@ def test_cli_submit_non_object_line_is_json_on_stderr(
     assert (code, out) == (1, "")
     error = json.loads(err)
     assert error["error"] == "IntentError"
-    assert error["detail"].startswith(f"{intents}:1: intent must be an object")
+    assert error["detail"].startswith(f"{intents}:1: {detail}")
     assert pool.read_bytes() == before
 
 
@@ -1705,8 +1765,13 @@ SMALL_CONFIG = '{"nodes": 6, "edges": 10, "seed": 1}'
         ("[1]", "0,0.5", "StateError"),
         (SMALL_CONFIG, "0,nan", "AmountError"),
         (SMALL_CONFIG, "0,1e308", "AmountError"),
+        (SMALL_CONFIG[:-1] + ', "amount_dist": "lognormal", "lognormal_mu": 1000}',
+         "0,0.5", "AmountError"),
+        (SMALL_CONFIG[:-1] + ', "amount_dist": "lognormal", "lognormal_sigma": 1e300}',
+         "0,0.5", "AmountError"),
     ],
-    ids=["abc", "list-config", "nan", "overflowing-budget"],
+    ids=["abc", "list-config", "nan", "overflowing-budget", "lognormal-mu",
+         "lognormal-sigma"],
 )
 def test_cli_simulate_bad_input_is_json_on_stderr(
     tmp_path: Path, capsys, config: str, fractions: str, error: str

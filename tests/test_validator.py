@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from setoff import (
     Acceptance,
@@ -22,7 +23,7 @@ from setoff import (
 from setoff.experiments import SyntheticGraphConfig, attach_default_liquidity, generate
 from setoff.model import Obligation
 from setoff.settle import emit_notices, verify_notices
-from setoff.solver import solve_network
+from setoff.solver import solve_network, solve_settleable
 from setoff.validate import (
     CHECKS,
     ValidationReport,
@@ -268,6 +269,38 @@ def test_issuer_taking_its_own_deposits_is_one_outflow() -> None:
     assert (v.check, v.ids, v.detail) == ("BalancedFlow", (HUB,), "receives 10 but pays 11")
 
 
+@pytest.mark.parametrize("ref, cap, expected", [
+    ("t:hub", 10, ("SubsetFlow", ("t:hub",), "flow 11 exceeds capacity 10")),
+    ("t:hub", 20, ("BalancedFlow", (HUB,), "receives 11 but pays 10")),
+    ("acc:hub", 10, ("SubsetFlow", ("acc:hub",), "flow 11 exceeds capacity 10")),
+])
+def test_an_issuer_self_pair_is_one_flow_against_caps_and_balances(ref, cap, expected) -> None:
+    # t:hub: the hub pays its debt to A by tendering its own currency.
+    # acc:hub: A pays its debt to the hub, which takes the units back as a
+    # deposit at itself. Both records of that pair name the hub, so raising
+    # both by 1 is one unit more flow: past a binding cap, or past what the
+    # hub pays.
+    pool = make_pool("A", default_source=None)
+    debtor, creditor, payer, depositor = (
+        (HUB, "A", HUB, "A") if ref == "t:hub" else ("A", HUB, "A", HUB)
+    )
+    add_signed(pool, Obligation(id="ob", debtor=debtor, creditor=creditor, amount=10, unit=UNIT))
+    add_signed(pool, Tender(id=f"t:{payer}", sender=payer, source=HUB,
+                            kind=TenderKind.ASSIGNMENT, max_amount=cap))
+    add_signed(pool, Acceptance(id=f"acc:{depositor}", origin=depositor, target=HUB,
+                                kind=AcceptanceKind.DEPOSIT, currency=UNIT,
+                                limit=cap if ref == "acc:hub" else None))
+    g = aggregate(pool)
+    flow, _ = solve_network(build_network(g))
+    pair = [i for i, r in enumerate(flow.records) if r.edge_ref == ref]
+    assert [(flow.records[i].party, flow.records[i].amount) for i in pair] == [(HUB, 10)] * 2
+    assert is_valid_flow(g, flow).ok
+    for i in pair:
+        flow = mutate(flow, i, amount=11)
+    v = first_violation(g, flow)
+    assert (v.check, v.ids, v.detail) == expected
+
+
 def test_repayment_acceptance_carries_no_flow() -> None:
     from support import p2p_loan_pool
 
@@ -312,6 +345,42 @@ def test_default_acceptance_reference_guards() -> None:
     )
     v = first_violation(bare, flow)
     assert v.detail == "no default liquidity source is configured"
+
+
+def mutated_solver_flow(seed: int):
+    """A solver flow on a random liquidity pool with up to three record
+    mutations, and a ledger for odd seeds."""
+    rng = random.Random(seed)
+    g = aggregate(random_liquidity_pool(rng))
+    ledger = funded_ledger(*((a, UNIT, rng.randint(0, 30)) for a in "abcd")) if seed % 2 else None
+    flow, _ = solve_settleable(g, None, ledger, epoch_id=1)
+    records = list(flow.records)
+    for _ in range(rng.randint(0, 3) if records else 0):
+        i = rng.randrange(len(records))
+        op = rng.randrange(4)
+        if op == 0:
+            step = rng.choice((-2, -1, 1, 2))
+            records[i] = replace(records[i], amount=max(0, records[i].amount + step))
+        elif op == 1:
+            records[i] = replace(records[i], party=rng.choice((*"abcd", HUB)))
+        elif op == 2:
+            records.append(records[i])
+        elif len(records) > 1:
+            del records[i]
+    return g, replace(flow, records=tuple(records)), ledger
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(seed=st.integers(0, 10**6), order=st.randoms(use_true_random=False))
+def test_record_and_transfer_order_leaves_the_report_unchanged(seed, order) -> None:
+    g, flow, ledger = mutated_solver_flow(seed)
+    assume(flow.records)
+    shuffled = replace(
+        flow,
+        records=tuple(order.sample(flow.records, len(flow.records))),
+        transfers=tuple(order.sample(flow.transfers, len(flow.transfers))),
+    )
+    assert is_valid_flow(g, shuffled, ledger) == is_valid_flow(g, flow, ledger)
 
 
 # --- balance simulation ----------------------------------------------------------
@@ -421,12 +490,12 @@ def test_aggregation_network_and_validator_agree_on_every_liquidity_edge() -> No
         deposits = [a for a in pool.acceptances.values()
                     if a.kind is AcceptanceKind.DEPOSIT]
         for intent in [*pool.tenders.values(), *deposits]:
-            spec, err = _resolve_ref(g, intent.id, min_prices)
+            spec = _resolve_ref(pool, set(g.nodes), intent.id, min_prices)
             if intent.id in excluded:
-                assert spec is None and err == excluded[intent.id], (seed, intent.id)
-                reasons.add(err)
+                assert spec == excluded[intent.id], (seed, intent.id)
+                reasons.add(spec)
             else:
-                assert spec is not None, (seed, intent.id, err)
+                assert not isinstance(spec, str), (seed, intent.id, spec)
                 assert spec.cap == net_caps[intent.id], (seed, intent.id)
                 admitted.add((intent.kind.value, currency[intent.id] == UNIT))
     for prefix in ("source nobody is not", "overdraft tender has no matching",
